@@ -27,10 +27,10 @@ from .errors import (
     SeriesOverflowError,
     SpectralDomainError,
 )
-from .fracops import CoordinateMap, log_map, reflected_radial_map
+from .fracops import log_map, reflected_radial_map
 from .opeval import eval_F, eval_F_quadrature
 from .quadrature import DEFAULT_TOL
-from .solvers import EquationSpec, Family, solve
+from .solvers import FAMILIES, EquationSpec, Family, solve
 from .verify import conjecture_check, residual
 
 _NUMERIC_ERRORS = (
@@ -41,24 +41,20 @@ _NUMERIC_ERRORS = (
     SpectralDomainError,
 )
 
-# residual acceptance bound per family, scalar-quadrature LHS at quad-tol 1e-8
-_FAMILY_BOUND = {
-    Family.GAUSSIAN_DILATION: 1e-6,
-    Family.LAPLACE_DILATION: 1e-7,
-    Family.RADIAL: 1e-6,
-    Family.GENERALIZED_SHIFT: 1e-6,
-    Family.MOEBIUS: 1e-5,
-}
-
-_DEFAULT_GRID = {
-    Family.GAUSSIAN_DILATION: "geom:0.1:5:25",
-    Family.LAPLACE_DILATION: "geom:0.1:3:15",
-    Family.RADIAL: "0:3:13",
-    Family.GENERALIZED_SHIFT: "geom:0.1:5:25",
-    Family.MOEBIUS: "geom:0.1:3:15",
-}
-
 _MAPS = {"log": log_map, "reflected-radial": reflected_radial_map}
+
+# How the command line supplies each EquationSpec field, and the header line
+# echoing each parameter.
+_SPEC_FIELDS = {
+    "f": lambda args, entry: entry.f,
+    "f_prime": lambda args, entry: entry.f_prime,
+    "f_series": lambda args, entry: entry.series,
+    "mu": lambda args, entry: args.mu,
+    "a": lambda args, entry: args.a,
+    "cmap": lambda args, entry: _MAPS[args.map](),
+}
+_PARAM_HEADER = {"mu": "mu = {0.mu:g}", "a": "a = {0.a:g}",
+                 "cmap": "map = {0.map}"}
 
 _FIG1_CROSSCHECK_BOUND = 1e-7
 
@@ -109,34 +105,18 @@ def _write_table(stream: IO[str], header_lines: Iterable[str],
 def _build_spec(args, parser: argparse.ArgumentParser) -> EquationSpec:
     family = Family(args.family)
     entry = catalog.get(args.f)
-    if family is Family.LAPLACE_DILATION:
-        if entry.series is None:
-            parser.error(f"{entry.name} has no power-series form; "
-                         "the spectral solver needs one")
-        return EquationSpec(family, f_series=entry.series, mu=args.mu)
-    if family is Family.MOEBIUS:
-        return EquationSpec(family, f=entry.f, f_prime=entry.f_prime, a=args.a)
-    if family is Family.GENERALIZED_SHIFT:
-        cmap: CoordinateMap = _MAPS[args.map]()
-        return EquationSpec(family, f=entry.f, f_prime=entry.f_prime, cmap=cmap)
-    return EquationSpec(family, f=entry.f, f_prime=entry.f_prime)
+    requires = FAMILIES[family].requires
+    if "f_series" in requires and entry.series is None:
+        parser.error(f"{entry.name} has no power-series form; "
+                     "the spectral solver needs one")
+    return EquationSpec(family, **{name: _SPEC_FIELDS[name](args, entry)
+                                   for name in requires})
 
 
 def _spec_header(args, spec: EquationSpec) -> list[str]:
-    lines = [f"family = {spec.family.value}", f"f = {args.f}"]
-    if spec.family is Family.LAPLACE_DILATION:
-        lines.append(f"mu = {spec.mu:g}")
-    elif spec.family is Family.MOEBIUS:
-        lines.append(f"a = {spec.a:g}")
-    elif spec.family is Family.GENERALIZED_SHIFT:
-        lines.append(f"map = {args.map}")
-    return lines
-
-
-def _solution_values(u, xs: np.ndarray) -> np.ndarray:
-    if u.eval_batch is not None:
-        return np.asarray(u.eval_batch(xs), dtype=float)
-    return np.array([u.eval(float(x)) for x in xs])
+    return [f"family = {spec.family.value}", f"f = {args.f}"] + [
+        _PARAM_HEADER[name].format(args)
+        for name in FAMILIES[spec.family].requires if name in _PARAM_HEADER]
 
 
 def _parse_grid_or_usage(text: str, parser) -> np.ndarray:
@@ -150,7 +130,7 @@ def _cmd_solve(args, parser) -> int:
     spec = _build_spec(args, parser)
     grid = _parse_grid_or_usage(args.grid, parser)
     u = solve(spec, tol=args.tol)
-    values = _solution_values(u, grid)
+    values = np.asarray(u.eval_batch(grid), dtype=float)
     header = ["fracshift solve", *_spec_header(args, spec),
               f"grid = {args.grid}", f"tol = {args.tol:g}",
               f"method = {u.method}"]
@@ -165,12 +145,13 @@ def _cmd_solve(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     spec = _build_spec(args, parser)
-    grid_text = args.grid or _DEFAULT_GRID[spec.family]
+    fam = FAMILIES[spec.family]
+    grid_text = args.grid or fam.grid
     grid = _parse_grid_or_usage(grid_text, parser)
     u = solve(spec, tol=args.tol)
     report = residual(spec, u, grid, quad_tol=args.quad_tol)
     print(report.summary())
-    bound = _FAMILY_BOUND[spec.family]
+    bound = fam.bound
     ok = report.quad_failures == 0 and report.max_abs <= bound
     print(f"bound {bound:g}: {'pass' if ok else 'FAIL'}")
     if args.output is not None:

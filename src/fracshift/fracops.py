@@ -27,9 +27,10 @@ w + s; equivalently the descending kernel in the reflected coordinate
 w = -x^2/2.  ``weyl_half_radial`` implements the ascending kernel directly;
 ``generalized_half`` with ``reflected_radial_map`` reproduces it exactly.
 
-Scalar entry points accept any real -> real callables; the ``*_batch``
-variants evaluate a whole argument array in one adaptive pass and require the
-callables to broadcast over numpy arrays.
+Scalar entry points accept any real -> real callables and call them one point
+at a time (``quadrature.elementwise``); the ``*_batch`` variants evaluate a
+whole argument array in one adaptive pass and require the callables to
+broadcast over numpy arrays.
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DecayWarning, DivergenceError
+from .errors import DecayWarning, DivergenceError
 from .quadrature import (
     DEFAULT_BUDGET,
     DEFAULT_TOL,
     BatchResult,
+    elementwise,
     integrate_decaying_batch,
 )
 
@@ -136,16 +138,13 @@ def reflected_radial_map() -> CoordinateMap:
     )
 
 
-def _pointwise(h: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    return np.vectorize(h, otypes=[float])
-
-
-def _require_converged(res: BatchResult, what: str) -> None:
-    if not res.converged:
-        raise ConvergenceError(
-            f"{what}: kernel quadrature left error "
-            f"{float(res.errors.max()):.3g} after {res.evaluations} evaluations"
-        )
+def _at_point(batch, what: str, lead: tuple, fs: tuple, x: float,
+              tol: float, budget: int, **kwargs) -> float:
+    """Scalar entry shared by the kernels: ``batch`` at the single point x,
+    with the scalar callables ``fs`` applied elementwise."""
+    res = batch(*lead, *map(elementwise, fs), np.array([float(x)]), tol,
+                budget, **kwargs)
+    return float(res.converged_values(what)[0])
 
 
 def _probe_decay(f, tol: float) -> None:
@@ -196,9 +195,7 @@ def xd_negpow_batch(nu: float, f: Callable[[np.ndarray], np.ndarray],
 def xd_negpow(nu: float, f: Callable[[float], float], x: float,
               tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET) -> float:
     """(x d/dx)^(-nu) f at a single point x > 0."""
-    res = xd_negpow_batch(nu, _pointwise(f), np.array([float(x)]), tol, budget)
-    _require_converged(res, "xd_negpow")
-    return float(res.values[0])
+    return _at_point(xd_negpow_batch, "xd_negpow", (nu,), (f,), x, tol, budget)
 
 
 # -- (2/sqrt(pi)) (x d/dx)^(1/2) --------------------------------------------
@@ -239,9 +236,8 @@ def half_sqrt_xd(f_prime: Callable[[float], float], x: float,
     """(2/sqrt(pi)) (x d/dx)^(1/2) f at x > 0, from the derivative handle."""
     if not x > 0.0:
         raise ValueError("x must be positive")
-    res = half_sqrt_xd_batch(_pointwise(f_prime), np.array([float(x)]), tol, budget)
-    _require_converged(res, "half_sqrt_xd")
-    return float(res.values[0])
+    return _at_point(half_sqrt_xd_batch, "half_sqrt_xd", (), (f_prime,), x,
+                     tol, budget)
 
 
 # -- radial (ascending / Weyl direction) half power --------------------------
@@ -298,12 +294,8 @@ def weyl_half_radial(f: Callable[[float], float],
                      kernel: str = "transported") -> float:
     if not x >= 0.0:
         raise ValueError("x must be >= 0")
-    res = weyl_half_radial_batch(
-        _pointwise(f), _pointwise(f_prime), np.array([float(x)]), tol, budget,
-        kernel=kernel,
-    )
-    _require_converged(res, "weyl_half_radial")
-    return float(res.values[0])
+    return _at_point(weyl_half_radial_batch, "weyl_half_radial", (),
+                     (f, f_prime), x, tol, budget, kernel=kernel)
 
 
 # -- generalized shift generators -------------------------------------------
@@ -339,8 +331,5 @@ def generalized_half_batch(cmap: CoordinateMap,
 def generalized_half(cmap: CoordinateMap, f: Callable[[float], float],
                      f_prime: Callable[[float], float], x: float,
                      tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET) -> float:
-    res = generalized_half_batch(
-        cmap, _pointwise(f), _pointwise(f_prime), np.array([float(x)]), tol, budget,
-    )
-    _require_converged(res, "generalized_half")
-    return float(res.values[0])
+    return _at_point(generalized_half_batch, "generalized_half", (cmap,),
+                     (f, f_prime), x, tol, budget)

@@ -34,10 +34,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DecayWarning, DivergenceError, QuadratureDomainError
+from .errors import (ConvergenceError, DecayWarning, DivergenceError,
+                     QuadratureDomainError)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BUDGET = 1_000_000
+_PROBE_START = 8.0  # first support cutoff tried by integrate_decaying_batch
 
 # Gauss-Kronrod (7,15) nodes on [-1,1]; Gauss nodes are the odd indices.
 _NODES = np.array([
@@ -111,12 +113,37 @@ class BatchResult:
     evaluations: int
     converged: bool
 
+    def converged_values(self, what: str) -> np.ndarray:
+        """``values``, or ConvergenceError naming ``what`` if the pass stopped
+        short of tolerance."""
+        if not self.converged:
+            raise ConvergenceError(
+                f"{what}: quadrature error {float(self.errors.max()):.3g} "
+                f"after {self.evaluations} evaluations"
+            )
+        return self.values
 
-def _as_vectorized(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    def fv(xs: np.ndarray) -> np.ndarray:
-        return np.fromiter((float(f(x)) for x in xs), dtype=float, count=len(xs))
 
-    return fv
+def elementwise(h: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Array callable applying the scalar callable ``h`` to every entry of an
+    array of any shape, one call per entry."""
+    def hv(xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs)
+        flat = np.fromiter(map(h, xs.ravel()), dtype=float, count=xs.size)
+        return flat.reshape(xs.shape)
+
+    return hv
+
+
+def vectorized(h: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """``h`` itself when it maps the probe array [0.5, 1.5] to two values,
+    else ``elementwise(h)``."""
+    try:
+        if np.asarray(h(np.array([0.5, 1.5])), dtype=float).shape == (2,):
+            return h
+    except Exception:
+        pass
+    return elementwise(h)
 
 
 def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
@@ -236,7 +263,7 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
         raise ValueError(f"need finite a < b, got ({a}, {b})")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    fv = _as_vectorized(f)
+    fv = elementwise(f)
     kind = hint.kind
     if kind is SingularityKind.NONE:
         res = _adaptive(fv, [(a, b)], tol, budget)
@@ -299,7 +326,7 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float = 0.0,
         raise ValueError("lower limit must be finite")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    fv = _as_vectorized(f)
+    fv = elementwise(f)
     if not breakpoints:
         res = _mapped_tail(fv, a, tol, budget)
         return _to_scalar(res)
@@ -402,8 +429,7 @@ def integrate_semi_infinite_batch(f: Callable[[np.ndarray], np.ndarray],
 
 def integrate_decaying_batch(f: Callable[[np.ndarray], np.ndarray],
                              tol: float = DEFAULT_TOL,
-                             budget: int = DEFAULT_BUDGET,
-                             probe_start: float = 8.0) -> BatchResult:
+                             budget: int = DEFAULT_BUDGET) -> BatchResult:
     """Adaptive pass over (0, inf) for integrands that decay to zero.
 
     The effective support is located by doubling a cutoff until probe samples
@@ -411,7 +437,7 @@ def integrate_decaying_batch(f: Callable[[np.ndarray], np.ndarray],
     still integrated through the rational map, so a misjudged cutoff costs
     panels rather than correctness.
     """
-    cutoff = probe_start
+    cutoff = _PROBE_START
     scale = 1.0
     settled = False
     for _ in range(40):

@@ -14,17 +14,20 @@ generator ((2/sqrt(pi)) sqrt(G) f), the laplace family via the inverse-gamma
 coefficient map b_n = a_n / Gamma(mu n + 1), and the moebius family via the
 geometric expansion of (1 - exp(-a x^2 d/dx))^{-1} applied to x^2 f'.
 
-Solvers return SolutionFn handles; nothing is precomputed on a grid.  Function
-handles should accept numpy arrays (everything in `catalog` does); scalar-only
-callables are detected by a probe at x in {0.5, 1.5} and wrapped.
+Each family is one FamilyDef entry of FAMILIES, so adding a family means
+adding one entry.  Solvers return SolutionFn handles; nothing is precomputed
+on a grid.  A handle's scalar call is derived from its ``eval_batch``, except
+for laplace, whose compensated series evaluation keeps its diagnostics.
+Solvers probe f and f' at x in {0.5, 1.5} and wrap them if they do not map
+arrays to arrays; the scalar entry points of quadrature and fracops, and
+verify.residual given a plain callable, call it one point at a time.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -32,9 +35,11 @@ import numpy.polynomial.polynomial as npp
 from . import fracops
 from .errors import ConvergenceError
 from .fracops import CoordinateMap
-from .quadrature import DEFAULT_TOL
+from .quadrature import DEFAULT_TOL, vectorized
 from .series import PowerSeries, SpectralMultiplier, apply_multiplier, evaluate
 from .specfun import recip_gamma
+
+_EXP_UNDERFLOW = 745.0  # exp(-y) is subnormal-or-zero beyond this
 
 
 class Family(enum.Enum):
@@ -45,15 +50,99 @@ class Family(enum.Enum):
     MOEBIUS = "moebius"
 
 
+class FamilyDef(NamedTuple):
+    """Everything the package knows about one equation family."""
+
+    requires: tuple[str, ...]  # EquationSpec fields that must be set
+    solve: Callable[[EquationSpec, float], SolutionFn]  # (spec, tol) -> u
+    # (spec, ev, xs) -> y -> LHS terms of shape (len(y), len(xs)), where
+    # ev(args) evaluates the candidate u on an array of any shape
+    integrand: Callable[[EquationSpec, Callable, np.ndarray], Callable]
+    bound: float  # residual acceptance bound of `fracshift verify`
+    grid: str  # default grid of `fracshift verify`
+    positive: tuple[str, ...]  # required fields that must be > 0
+    vanishes_at_zero: bool  # f(0) = 0 is required
+    upper: str | None  # field a of the range (0, a); None: (0, inf)
+
+
+def _laplace_integrand(spec, ev, xs):
+    def integrand(ys):
+        out = np.zeros((len(ys), len(xs)))
+        ok = ys < _EXP_UNDERFLOW
+        if ok.any():
+            yy = ys[ok]
+            out[ok] = np.exp(-yy)[:, None] * ev(np.outer(yy ** spec.mu, xs))
+        return out
+    return integrand
+
+
+def _genshift_integrand(spec, ev, xs):
+    cmap = spec.cmap
+    lo, hi = cmap.domain
+    ws = np.asarray(cmap.F(xs), dtype=float)
+
+    def integrand(ys):
+        with np.errstate(all="ignore"):
+            args = np.asarray(
+                cmap.F_inv(ws[None, :] - (ys * ys)[:, None]), dtype=float
+            )
+        out = np.zeros_like(args)
+        # Outside the open domain the transported argument has left the
+        # map's range; admissible f vanish in that limit.
+        valid = np.isfinite(args) & (args > lo) & (args < hi)
+        if valid.any():
+            out[valid] = ev(args[valid])
+        return out
+    return integrand
+
+
+# Solvers are looked up by name at call time, so rebinding a module-level
+# solve_* (for instance to trace it) also reroutes solve().
+FAMILIES: dict[Family, FamilyDef] = {
+    Family.GAUSSIAN_DILATION: FamilyDef(
+        ("f", "f_prime"),
+        lambda spec, tol: solve_gaussian_dilation(spec.f, spec.f_prime, tol),
+        lambda spec, ev, xs: lambda ys: ev(np.outer(np.exp(-ys * ys), xs)),
+        1e-6, "geom:0.1:5:25", positive=(), vanishes_at_zero=False, upper=None,
+    ),
+    Family.LAPLACE_DILATION: FamilyDef(
+        ("f_series", "mu"),
+        lambda spec, tol: solve_laplace_dilation(spec.f_series, spec.mu),
+        _laplace_integrand,
+        1e-7, "geom:0.1:3:15", positive=("mu",), vanishes_at_zero=False,
+        upper=None,
+    ),
+    Family.RADIAL: FamilyDef(
+        ("f", "f_prime"),
+        lambda spec, tol: solve_radial(spec.f, spec.f_prime, tol),
+        lambda spec, ev, xs: lambda ys: ev(
+            np.sqrt(xs[None, :] ** 2 + 2.0 * ys[:, None] ** 2)),
+        1e-6, "0:3:13", positive=(), vanishes_at_zero=False, upper=None,
+    ),
+    Family.GENERALIZED_SHIFT: FamilyDef(
+        ("f", "f_prime", "cmap"),
+        lambda spec, tol: solve_generalized_shift(spec.cmap, spec.f,
+                                                  spec.f_prime, tol),
+        _genshift_integrand,
+        1e-6, "geom:0.1:5:25", positive=(), vanishes_at_zero=False, upper=None,
+    ),
+    Family.MOEBIUS: FamilyDef(
+        ("f", "f_prime", "a"),
+        lambda spec, tol: solve_moebius(spec.f, spec.f_prime, spec.a, tol),
+        lambda spec, ev, xs: lambda ys: ev(
+            xs[None, :] / (1.0 + np.outer(ys, xs))),
+        1e-5, "geom:0.1:3:15", positive=("a",), vanishes_at_zero=True,
+        upper="a",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class EquationSpec:
     """One equation instance: a family tag, its data f, and parameters.
 
-    Required pieces per family (checked at construction):
-      laplace  -> f_series and mu > 0
-      moebius  -> f, f_prime, a > 0, and f(0) = 0 (probed as |f(1e-8)| < 1e-6)
-      genshift -> f, f_prime, cmap
-      gaussian, radial -> f, f_prime
+    Construction checks the fields FAMILIES[family] requires and their
+    values (f(0) = 0 is probed as |f(1e-8)| < 1e-6).
     """
 
     family: Family
@@ -65,22 +154,16 @@ class EquationSpec:
     cmap: CoordinateMap | None = None
 
     def __post_init__(self):
-        fam = self.family
-        if fam is Family.LAPLACE_DILATION:
-            if self.f_series is None:
-                raise ValueError("laplace dilation needs the series form of f")
-            if self.mu is None or not self.mu > 0.0:
-                raise ValueError("laplace dilation needs mu > 0")
-            return
-        if self.f is None or self.f_prime is None:
-            raise ValueError(f"{fam.value} needs both f and f'")
-        if fam is Family.MOEBIUS:
-            if self.a is None or not self.a > 0.0:
-                raise ValueError("moebius family needs a > 0")
+        fam = FAMILIES[self.family]
+        name = self.family.value
+        missing = [key for key in fam.requires if getattr(self, key) is None]
+        if missing:
+            raise ValueError(f"{name} family needs {' and '.join(missing)}")
+        for key in fam.positive:
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{name} family needs {key} > 0")
+        if fam.vanishes_at_zero:
             _check_vanishes_at_zero(self.f)
-        elif fam is Family.GENERALIZED_SHIFT:
-            if self.cmap is None:
-                raise ValueError("generalized shift needs a coordinate map")
 
     def rhs(self, x: float) -> float:
         if self.f is not None:
@@ -92,18 +175,26 @@ class EquationSpec:
 class SolutionFn:
     """Evaluable solution with method metadata.
 
-    ``eval`` is the scalar entry point; ``eval_batch`` (when present) maps a
-    1-d argument array to values in one adaptive pass and is what the residual
-    harness uses.  ``series`` is set for the spectral (laplace) family.
+    ``eval_batch`` maps a 1-d argument array to values in one adaptive pass;
+    the residual harness and the CLI use it.  ``eval`` is the scalar entry
+    behind ``__call__``; passed as None it is derived from ``eval_batch``.
+    ``series`` is set for the spectral (laplace) family.
     """
 
-    eval: Callable[[float], float]
+    eval: Callable[[float], float] | None
     method: str
     truncation: int | None
     error_estimate: float
     family: Family
-    eval_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    eval_batch: Callable[[np.ndarray], np.ndarray]
     series: PowerSeries | None = None
+
+    def __post_init__(self):
+        if self.eval is None:
+            batch = self.eval_batch
+            object.__setattr__(
+                self, "eval",
+                lambda x: float(batch(np.array([float(x)]))[0]))
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
@@ -117,40 +208,23 @@ def _check_vanishes_at_zero(f) -> None:
         )
 
 
-def _ensure_vectorized(h):
-    if h is None:
-        return None
-    try:
-        out = np.asarray(h(np.array([0.5, 1.5])), dtype=float)
-        if out.shape == (2,):
-            return h
-    except Exception:
-        pass
-    return np.vectorize(h, otypes=[float])
+def _kernel_handle(family: Family, method: str, what: str, kernel,
+                   tol: float) -> SolutionFn:
+    """Handle whose eval_batch is one adaptive pass ``kernel(xs)`` over all
+    arguments, refused unless converged."""
+    def eval_batch(xs: np.ndarray) -> np.ndarray:
+        return kernel(np.asarray(xs, dtype=float)).converged_values(what)
 
-
-def _need(res, what: str):
-    if not res.converged:
-        raise ConvergenceError(
-            f"{what}: quadrature error {float(res.errors.max()):.3g} "
-            f"after {res.evaluations} evaluations"
-        )
-    return res
+    return SolutionFn(None, method, None, tol, family, eval_batch)
 
 
 def solve_gaussian_dilation(f, f_prime, tol: float = DEFAULT_TOL) -> SolutionFn:
     """u = (2/sqrt(pi)) sqrt(x d/dx) f, computed from the caller's f'."""
-    fp = _ensure_vectorized(f_prime)
-
-    def eval_batch(xs: np.ndarray) -> np.ndarray:
-        res = fracops.half_sqrt_xd_batch(fp, np.asarray(xs, dtype=float), tol)
-        return _need(res, "gaussian dilation kernel").values
-
-    def eval_one(x: float) -> float:
-        return float(eval_batch(np.array([float(x)]))[0])
-
-    return SolutionFn(eval_one, "half power of the scale derivative", None,
-                      tol, Family.GAUSSIAN_DILATION, eval_batch)
+    fp = vectorized(f_prime)
+    return _kernel_handle(
+        Family.GAUSSIAN_DILATION, "half power of the scale derivative",
+        "gaussian dilation kernel",
+        lambda xs: fracops.half_sqrt_xd_batch(fp, xs, tol), tol)
 
 
 def solve_laplace_dilation(f_series: PowerSeries, mu: float) -> SolutionFn:
@@ -182,37 +256,24 @@ def solve_laplace_dilation(f_series: PowerSeries, mu: float) -> SolutionFn:
 
 def solve_radial(f, f_prime, tol: float = DEFAULT_TOL) -> SolutionFn:
     """u = -(2/sqrt(pi)) sqrt(-(1/x) d/dx) f via the ascending half kernel."""
-    fv = _ensure_vectorized(f)
-    fp = _ensure_vectorized(f_prime)
-
-    def eval_batch(xs: np.ndarray) -> np.ndarray:
-        res = fracops.weyl_half_radial_batch(fv, fp, np.asarray(xs, dtype=float),
-                                             tol)
-        return _need(res, "radial half kernel").values
-
-    def eval_one(x: float) -> float:
-        return float(eval_batch(np.array([float(x)]))[0])
-
-    return SolutionFn(eval_one, "ascending half power in w = x^2/2", None,
-                      tol, Family.RADIAL, eval_batch)
+    fv = vectorized(f)
+    fp = vectorized(f_prime)
+    return _kernel_handle(
+        Family.RADIAL, "ascending half power in w = x^2/2",
+        "radial half kernel",
+        lambda xs: fracops.weyl_half_radial_batch(fv, fp, xs, tol), tol)
 
 
 def solve_generalized_shift(cmap: CoordinateMap, f, f_prime,
                             tol: float = DEFAULT_TOL) -> SolutionFn:
     """u = (2/sqrt(pi)) sqrt(q(x) d/dx) f in the transported coordinate."""
-    fv = _ensure_vectorized(f)
-    fp = _ensure_vectorized(f_prime)
-
-    def eval_batch(xs: np.ndarray) -> np.ndarray:
-        res = fracops.generalized_half_batch(cmap, fv, fp,
-                                             np.asarray(xs, dtype=float), tol)
-        return _need(res, "transported half kernel").values
-
-    def eval_one(x: float) -> float:
-        return float(eval_batch(np.array([float(x)]))[0])
-
-    return SolutionFn(eval_one, f"half power transported by '{cmap.name}' map",
-                      None, tol, Family.GENERALIZED_SHIFT, eval_batch)
+    fv = vectorized(f)
+    fp = vectorized(f_prime)
+    return _kernel_handle(
+        Family.GENERALIZED_SHIFT,
+        f"half power transported by '{cmap.name}' map",
+        "transported half kernel",
+        lambda xs: fracops.generalized_half_batch(cmap, fv, fp, xs, tol), tol)
 
 
 # -- moebius family ----------------------------------------------------------
@@ -231,8 +292,8 @@ def moebius_partial_sum(f, f_prime, a: float, xs: np.ndarray,
     first correction terms use a central difference for h'.  The leftover is
     O(K^-5), so doubling K is a sharp convergence check.
     """
-    fv = _ensure_vectorized(f)
-    fp = _ensure_vectorized(f_prime)
+    fv = vectorized(f)
+    fp = vectorized(f_prime)
     xs = np.asarray(xs, dtype=float)
     out = np.zeros_like(xs)
     live = xs > 0.0
@@ -278,24 +339,12 @@ def solve_moebius(f, f_prime, a: float, tol: float = DEFAULT_TOL) -> SolutionFn:
             raise ValueError("arguments must be >= 0")
         return converge(xs)[0]
 
-    def eval_one(x: float) -> float:
-        return float(eval_batch(np.array([float(x)]))[0])
-
     _, k_probe, diff_probe = converge(np.array([1.0]))
-    return SolutionFn(eval_one, "geometric shift series, tail closed by "
+    return SolutionFn(None, "geometric shift series, tail closed by "
                       "Euler-Maclaurin", k_probe, diff_probe, Family.MOEBIUS,
                       eval_batch)
 
 
 def solve(spec: EquationSpec, tol: float = DEFAULT_TOL) -> SolutionFn:
     """Dispatch to the family solver for an EquationSpec."""
-    fam = spec.family
-    if fam is Family.GAUSSIAN_DILATION:
-        return solve_gaussian_dilation(spec.f, spec.f_prime, tol)
-    if fam is Family.LAPLACE_DILATION:
-        return solve_laplace_dilation(spec.f_series, spec.mu)
-    if fam is Family.RADIAL:
-        return solve_radial(spec.f, spec.f_prime, tol)
-    if fam is Family.GENERALIZED_SHIFT:
-        return solve_generalized_shift(spec.cmap, spec.f, spec.f_prime, tol)
-    return solve_moebius(spec.f, spec.f_prime, spec.a, tol)
+    return FAMILIES[spec.family].solve(spec, tol)

@@ -4,7 +4,8 @@ Every solver in this package is checked the same way: put the candidate u
 back under the family's integral sign, evaluate that left-hand side by
 adaptive quadrature at a tolerance one decade below the residual of interest,
 and compare with the data f on a grid.  The harness never reuses the solver's
-own kernel representation; it integrates the defining equation directly.
+own kernel representation; it integrates the defining equation directly,
+with the integrand and range from the family's solvers.FAMILIES entry.
 
 Also here: the fractional Stirling-coefficient check (truncations of
 sum_k S(nu, k) x^k f^(k)(x) against the diagonal value sum_n n^nu a_n x^n)
@@ -14,7 +15,7 @@ and the side-by-side comparison of the two radial kernel readings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -29,15 +30,16 @@ from .errors import (
 from .fracops import weyl_half_radial_batch
 from .quadrature import (
     DEFAULT_BUDGET,
+    elementwise,
     integrate_decaying_batch,
     integrate_finite_batch,
 )
 from .series import PowerSeries
-from .solvers import EquationSpec, Family, SolutionFn
+from .solvers import FAMILIES, EquationSpec, Family, SolutionFn
 from .specfun import STIRLING_FRAC_MAX_K, stirling2_frac
 
 _TINY = 1e-300
-_EXP_UNDERFLOW = 745.0  # exp(-y) is subnormal-or-zero beyond this
+_QUAD_ERRORS = (QuadratureDomainError, DivergenceError, ConvergenceError)
 
 DEFAULT_QUAD_TOL = 1e-8
 
@@ -98,70 +100,28 @@ class KernelComparison(NamedTuple):
     plain: ResidualReport
 
 
-def _matrix_evaluator(u) -> Callable[[np.ndarray], np.ndarray]:
+def _evaluator(u) -> Callable[[np.ndarray], np.ndarray]:
+    """u on an array of any shape: a SolutionFn through ``eval_batch`` on the
+    raveled argument, a plain callable one point at a time."""
     batch = getattr(u, "eval_batch", None)
-    if batch is not None:
-        def ev(args: np.ndarray) -> np.ndarray:
-            flat = batch(np.ravel(np.asarray(args, dtype=float)))
-            return np.asarray(flat, dtype=float).reshape(np.shape(args))
-        return ev
-    scalar = getattr(u, "eval", u)
-    vec = np.vectorize(scalar, otypes=[float])
-    return lambda args: vec(np.asarray(args, dtype=float))
+    if batch is None:
+        return elementwise(u)
+
+    def ev(args: np.ndarray) -> np.ndarray:
+        flat = batch(np.ravel(np.asarray(args, dtype=float)))
+        return np.asarray(flat, dtype=float).reshape(np.shape(args))
+    return ev
 
 
 def _lhs_pass(spec: EquationSpec, u, xs: np.ndarray, tol: float,
               budget: int):
     """One adaptive pass computing the family LHS at every grid point."""
-    ev = _matrix_evaluator(u)
-    fam = spec.family
-
-    if fam is Family.GAUSSIAN_DILATION:
-        def integrand(ys):
-            return ev(np.outer(np.exp(-ys * ys), xs))
+    fam = FAMILIES[spec.family]
+    integrand = fam.integrand(spec, _evaluator(u), xs)
+    if fam.upper is None:
         return integrate_decaying_batch(integrand, tol=tol, budget=budget)
-
-    if fam is Family.LAPLACE_DILATION:
-        mu = spec.mu
-
-        def integrand(ys):
-            out = np.zeros((len(ys), len(xs)))
-            ok = ys < _EXP_UNDERFLOW
-            if ok.any():
-                yy = ys[ok]
-                out[ok] = np.exp(-yy)[:, None] * ev(np.outer(yy ** mu, xs))
-            return out
-        return integrate_decaying_batch(integrand, tol=tol, budget=budget)
-
-    if fam is Family.RADIAL:
-        def integrand(ys):
-            return ev(np.sqrt(xs[None, :] ** 2 + 2.0 * ys[:, None] ** 2))
-        return integrate_decaying_batch(integrand, tol=tol, budget=budget)
-
-    if fam is Family.GENERALIZED_SHIFT:
-        cmap = spec.cmap
-        lo, hi = cmap.domain
-        ws = np.asarray(cmap.F(xs), dtype=float)
-
-        def integrand(ys):
-            with np.errstate(all="ignore"):
-                args = np.asarray(
-                    cmap.F_inv(ws[None, :] - (ys * ys)[:, None]), dtype=float
-                )
-            out = np.zeros_like(args)
-            # Outside the open domain the transported argument has left the
-            # map's range; admissible f vanish in that limit.
-            valid = np.isfinite(args) & (args > lo) & (args < hi)
-            if valid.any():
-                out[valid] = ev(args[valid])
-            return out
-        return integrate_decaying_batch(integrand, tol=tol, budget=budget)
-
-    # moebius: finite range (0, a)
-    def integrand(ys):
-        return ev(xs[None, :] / (1.0 + np.outer(ys, xs)))
-    return integrate_finite_batch(integrand, 0.0, spec.a, tol=tol,
-                                  budget=budget)
+    return integrate_finite_batch(integrand, 0.0, getattr(spec, fam.upper),
+                                  tol=tol, budget=budget)
 
 
 def _lhs_values(spec, u, xs, tol, budget):
@@ -169,21 +129,15 @@ def _lhs_values(spec, u, xs, tol, budget):
         res = _lhs_pass(spec, u, xs, tol, budget)
         return np.asarray(res.values, dtype=float), np.asarray(res.errors,
                                                                dtype=float)
-    except (QuadratureDomainError, DivergenceError, ConvergenceError):
-        pass
+    except _QUAD_ERRORS:
+        if len(xs) == 1:  # a retry would repeat the failed pass exactly
+            return np.array([math.nan]), np.array([math.inf])
     # One grid point poisoned the shared pass; redo pointwise so the failure
     # stays local.
-    vals = np.empty(len(xs))
-    errs = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        try:
-            r = _lhs_pass(spec, u, np.array([float(x)]), tol, budget)
-            vals[i] = float(r.values[0])
-            errs[i] = float(r.errors[0])
-        except (QuadratureDomainError, DivergenceError, ConvergenceError):
-            vals[i] = math.nan
-            errs[i] = math.inf
-    return vals, errs
+    parts = [_lhs_values(spec, u, xs[i:i + 1], tol, budget)
+             for i in range(len(xs))]
+    return (np.concatenate([v for v, _ in parts]),
+            np.concatenate([e for _, e in parts]))
 
 
 def residual(spec: EquationSpec, u, grid: Sequence[float],
@@ -272,17 +226,8 @@ def radial_kernel_discrepancy(f, f_prime, grid: Sequence[float],
             res = weyl_half_radial_batch(f, f_prime, xs, tol, kernel=_kind)
             return res.values
 
-        u = SolutionFn(
-            eval=lambda x, _eb=eval_batch: float(_eb(np.array([float(x)]))[0]),
-            method=f"radial half kernel ({kind})",
-            truncation=None,
-            error_estimate=tol,
-            family=Family.RADIAL,
-            eval_batch=eval_batch,
-        )
-        rep = residual(spec, u, grid, quad_tol)
-        reports[kind] = ResidualReport(
-            rep.grid, rep.lhs, rep.rhs, rep.residuals, rep.max_abs,
-            rep.max_rel, rep.quad_failures, label=f"radial/{kind}",
-        )
+        u = SolutionFn(None, f"radial half kernel ({kind})", None, tol,
+                       Family.RADIAL, eval_batch)
+        reports[kind] = replace(residual(spec, u, grid, quad_tol),
+                                label=f"radial/{kind}")
     return KernelComparison(reports["transported"], reports["plain"])

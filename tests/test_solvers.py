@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from fracshift.errors import PrecisionWarning
+from fracshift.fracops import log_map
 from fracshift.series import PowerSeries, evaluate, from_coefficient_rule
 from fracshift.solvers import (
+    FAMILIES,
     EquationSpec,
     Family,
     moebius_partial_sum,
@@ -59,6 +61,29 @@ def test_spec_genshift_needs_map():
         EquationSpec(Family.GENERALIZED_SHIFT, f=_identity, f_prime=_one)
 
 
+_VALID_FIELDS = {
+    "f": _identity,
+    "f_prime": _one,
+    "f_series": PowerSeries((0.0, 1.0)),
+    "mu": 1.0,
+    "a": 1.0,
+    "cmap": log_map(),
+}
+
+
+@pytest.mark.parametrize(
+    "family,field",
+    [(fam, field) for fam in Family for field in FAMILIES[fam].requires],
+    ids=lambda v: v.value if isinstance(v, Family) else v,
+)
+def test_spec_refuses_each_missing_field(family, field):
+    fields = {name: _VALID_FIELDS[name] for name in FAMILIES[family].requires}
+    EquationSpec(family, **fields)
+    fields[field] = None
+    with pytest.raises(ValueError, match=rf"needs {field}\b"):
+        EquationSpec(family, **fields)
+
+
 def test_spec_rhs_from_series():
     s = PowerSeries((1.0, 2.0, 0.0))
     spec = EquationSpec(Family.LAPLACE_DILATION, f_series=s, mu=1.0)
@@ -86,14 +111,46 @@ def test_gaussian_solution_satisfies_equation():
     assert simpson_decaying(lhs, 8.0, 4000) == pytest.approx(x ** 3, abs=1e-7)
 
 
-def test_gaussian_batch_agrees_with_scalar():
-    f = lambda x: np.asarray(x, dtype=float) ** 2
-    fp = lambda x: 2.0 * np.asarray(x, dtype=float)
-    u = solve_gaussian_dilation(f, fp)
+def _x2(x):
+    return np.asarray(x, dtype=float) ** 2
+
+
+def _x2_prime(x):
+    return 2.0 * np.asarray(x, dtype=float)
+
+
+def _gauss(x):
+    # radial data whose solution is exp(-x^2)
+    return 0.5 * math.sqrt(math.pi / 2.0) * np.exp(-_x2(x))
+
+
+def _gauss_prime(x):
+    return -2.0 * np.asarray(x, dtype=float) * _gauss(x)
+
+
+def _agreement_spec(family):
+    exp_series = from_coefficient_rule(
+        lambda n: (-1.0) ** n / math.factorial(n), order=30)
+    return {
+        Family.GAUSSIAN_DILATION: dict(f=_x2, f_prime=_x2_prime),
+        Family.LAPLACE_DILATION: dict(f_series=exp_series, mu=1.0),
+        Family.RADIAL: dict(f=_gauss, f_prime=_gauss_prime),
+        Family.GENERALIZED_SHIFT: dict(f=_x2, f_prime=_x2_prime,
+                                       cmap=log_map()),
+        Family.MOEBIUS: dict(f=_identity, f_prime=_one, a=1.0),
+    }[family]
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda fam: fam.value)
+def test_batch_agrees_with_scalar(family):
+    # laplace checks its own compensated scalar path; the others the scalar
+    # call SolutionFn derives from eval_batch
+    u = solve(EquationSpec(family, **_agreement_spec(family)))
     xs = np.array([0.2, 1.0, 2.5])
     vals = u.eval_batch(xs)
     for x, v in zip(xs, vals):
         assert v == pytest.approx(u.eval(float(x)), abs=1e-12)
+        assert u(float(x)) == u.eval(float(x))
 
 
 # -- laplace dilation ---------------------------------------------------------
@@ -205,8 +262,6 @@ def test_moebius_solution_satisfies_equation():
 # -- dispatcher ---------------------------------------------------------------
 
 def test_solve_dispatch_all_families():
-    from fracshift.fracops import log_map
-
     f_ser = from_coefficient_rule(lambda n: (-1.0) ** n / math.factorial(n),
                                   order=30)
     cases = [

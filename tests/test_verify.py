@@ -82,6 +82,40 @@ def test_residual_all_families_on_solver_output():
         assert rep.max_abs < bound, (spec.family, rep.max_abs)
 
 
+def _count_lhs_passes(monkeypatch):
+    from fracshift import verify
+    calls = []
+    real = verify._lhs_pass
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_lhs_pass", counting)
+    return calls
+
+
+def test_residual_one_point_failure_is_not_retried(monkeypatch):
+    # a pointwise retry of a one-point grid would repeat the failed pass
+    calls = _count_lhs_passes(monkeypatch)
+    spec = EquationSpec(Family.GAUSSIAN_DILATION, f=_identity, f_prime=_one)
+    rep = residual(spec, lambda x: math.nan, [1.0])
+    assert len(calls) == 1
+    assert rep.quad_failures == 1
+
+
+def test_residual_failure_stays_local_on_larger_grids(monkeypatch):
+    # the gaussian LHS samples u on (0, x]; u is NaN only above 1.5, so the
+    # shared pass fails and the pointwise retry keeps x = 1 intact
+    calls = _count_lhs_passes(monkeypatch)
+    spec = EquationSpec(Family.GAUSSIAN_DILATION, f=_identity, f_prime=_one)
+    c = 2.0 / math.sqrt(math.pi)
+    rep = residual(spec, lambda x: c * x if x <= 1.5 else math.nan, [1.0, 2.0])
+    assert [len(xs) for xs in calls] == [2, 1, 1]
+    assert rep.quad_failures == 1
+    assert rep.residuals[0] < 1e-9 and math.isnan(rep.residuals[1])
+
+
 def test_residual_csv_roundtrip():
     spec = EquationSpec(Family.GAUSSIAN_DILATION, f=_identity, f_prime=_one)
     c = 2.0 / math.sqrt(math.pi)
