@@ -31,7 +31,7 @@ from .fracops import log_map, reflected_radial_map
 from .opeval import eval_F, eval_F_quadrature
 from .quadrature import DEFAULT_TOL
 from .solvers import FAMILIES, EquationSpec, Family, solve
-from .verify import conjecture_check, residual
+from .verify import DEFAULT_QUAD_TOL, conjecture_check, residual
 
 _NUMERIC_ERRORS = (
     ConvergenceError,
@@ -186,15 +186,23 @@ def _cmd_fig1(args, parser) -> int:
 
     if args.verify:
         worst = 0.0
+        unconverged = False
         for j, nu in enumerate(nus):
             for i, x in enumerate(xs):
                 ref = eval_F_quadrature(float(x), nu, tol=1e-10)
+                if not ref.converged:
+                    unconverged = True
+                    print(f"reference quadrature did not converge at "
+                          f"x={x:g}, nu={nu:g} (error estimate "
+                          f"{ref.abs_error_estimate:.3g})", file=sys.stderr)
+                    continue
                 worst = max(worst, abs(cols[i, j] - ref.value))
         print(f"cross-check max |series - quadrature| = {worst:.3g}",
               file=sys.stderr)
         if worst > _FIG1_CROSSCHECK_BOUND:
             print(f"cross-check FAILED (bound {_FIG1_CROSSCHECK_BOUND:g})",
                   file=sys.stderr)
+        if unconverged or worst > _FIG1_CROSSCHECK_BOUND:
             return 1
 
     header = ["fracshift fig1",
@@ -264,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "defining integral")
     p_verify.add_argument("family", choices=families)
     add_common(p_verify, with_grid_default="per-family")
-    p_verify.add_argument("--quad-tol", type=float, default=1e-8,
+    p_verify.add_argument("--quad-tol", type=float, default=DEFAULT_QUAD_TOL,
                           help="residual quadrature tolerance "
                                "(default %(default)g)")
     p_verify.add_argument("--output", metavar="PATH",

@@ -21,11 +21,13 @@ half-power kernel in the transported variable w = F(x) reads
 
     (2/pi) int_0^inf g'(w - s) s^(-1/2) ds,   g(w) = f(F^-1(w)).
 
-This is the descending (Riemann-Liouville direction) kernel.  The radial
-equation needs the ascending (Weyl direction) kernel with profile argument
-w + s; equivalently the descending kernel in the reflected coordinate
-w = -x^2/2.  ``weyl_half_radial`` implements the ascending kernel directly;
-``generalized_half`` with ``reflected_radial_map`` reproduces it exactly.
+This is the descending (Riemann-Liouville direction) kernel, and it is the
+only half-power kernel here: ``generalized_half`` evaluates it for any
+``CoordinateMap``.  ``half_sqrt_xd`` is that kernel on the log map
+(q = x, the dilation generator above), and ``weyl_half_radial`` is it on
+the reflected radial map w = -x^2/2: the radial equation needs the
+ascending (Weyl direction) kernel with profile argument w + s, which is the
+descending one in the reflected coordinate.
 
 Scalar entry points accept any real -> real callables and call them one point
 at a time (``quadrature.elementwise``); the ``*_batch`` variants evaluate a
@@ -58,10 +60,11 @@ _FOUR_OVER_PI = 4.0 / math.pi
 class CoordinateMap:
     """Invertible coordinate change F with generator profile q = 1/F'.
 
-    ``domain`` is the open interval of admissible x.  Construction runs the
-    probe-grid invariants: F_inv(F(x)) == x to 1e-10 relative and
-    q(x)*F'(x) == 1 to 1e-8 (central differences), raising ValueError naming
-    the first failing probe point.
+    ``domain`` = (lo, hi) bounds the admissible x; the half-power kernel also
+    takes x = lo (see generalized_half_batch).  Construction runs the
+    probe-grid invariants on 100 interior points: F_inv(F(x)) == x to 1e-10
+    relative and q(x)*F'(x) == 1 to 1e-8 (central differences), raising
+    ValueError naming the first failing probe point.
     """
 
     F: Callable[[float], float]
@@ -76,20 +79,20 @@ class CoordinateMap:
             raise ValueError(f"empty domain ({lo}, {hi})")
         self.validate()
 
-    def probe_grid(self, n: int = 100) -> np.ndarray:
+    def probe_grid(self) -> np.ndarray:
         lo, hi = self.domain
         plo = lo if math.isfinite(lo) else (min(hi, 0.0) - 1e3 if math.isfinite(hi) else -1e3)
         phi = hi if math.isfinite(hi) else max(lo, 0.0) + 1e3
         span = phi - plo
-        pts = plo + span * np.linspace(0.02, 0.98, n)
+        pts = plo + span * np.linspace(0.02, 0.98, 100)
         if math.isfinite(lo):
             pts = np.maximum(pts, lo + 1e-4 * span)
         if math.isfinite(hi):
             pts = np.minimum(pts, hi - 1e-4 * span)
         return pts
 
-    def validate(self, n: int = 100) -> None:
-        for x in self.probe_grid(n):
+    def validate(self) -> None:
+        for x in self.probe_grid():
             x = float(x)
             w = float(self.F(x))
             back = float(self.F_inv(w))
@@ -136,6 +139,10 @@ def reflected_radial_map() -> CoordinateMap:
         (0.0, math.inf),
         "reflected-radial",
     )
+
+
+_LOG_MAP = log_map()
+_REFLECTED_RADIAL_MAP = reflected_radial_map()
 
 
 def _at_point(batch, what: str, lead: tuple, fs: tuple, x: float,
@@ -204,31 +211,10 @@ def xd_negpow(nu: float, f: Callable[[float], float], x: float,
 def half_sqrt_xd_batch(f_prime: Callable[[np.ndarray], np.ndarray],
                        xs: np.ndarray, tol: float = DEFAULT_TOL,
                        budget: int = DEFAULT_BUDGET) -> BatchResult:
-    """(4/pi) int_0^inf f'(x e^-v^2) x e^-v^2 dv for every x in ``xs``.
-
-    Entries equal to zero short-circuit to zero (the kernel vanishes there
-    for admissible f with f(0) = 0).
-    """
-    xs = np.asarray(xs, dtype=float)
-    if (xs < 0.0).any():
-        raise ValueError("arguments must be >= 0")
-    live = xs > 0.0
-    if not live.any():
-        z = np.zeros_like(xs)
-        return BatchResult(z, np.full_like(xs, 1e-300), 0, True)
-    xl = xs[live]
-
-    def integrand(vs):
-        damp = np.exp(-vs * vs)
-        args = np.outer(damp, xl)
-        return _FOUR_OVER_PI * np.asarray(f_prime(args), dtype=float) * args
-
-    res = integrate_decaying_batch(integrand, tol=tol, budget=budget)
-    values = np.zeros_like(xs)
-    errors = np.full_like(xs, 1e-300)
-    values[live] = res.values
-    errors[live] = res.errors
-    return BatchResult(values, errors, res.evaluations, res.converged)
+    """(4/pi) int_0^inf f'(x e^-v^2) x e^-v^2 dv for every x in ``xs``: the
+    half-power kernel on the log map.  Entries equal to zero give zero (the
+    kernel vanishes there for admissible f with f(0) = 0)."""
+    return generalized_half_batch(_LOG_MAP, None, f_prime, xs, tol, budget)
 
 
 def half_sqrt_xd(f_prime: Callable[[float], float], x: float,
@@ -243,12 +229,6 @@ def half_sqrt_xd(f_prime: Callable[[float], float], x: float,
 # -- radial (ascending / Weyl direction) half power --------------------------
 
 
-def _profile_derivative(f_prime, w):
-    # d/dw f(sqrt(2w)) = f'(sqrt(2w)) / sqrt(2w)
-    r = np.sqrt(2.0 * w)
-    return np.asarray(f_prime(r), dtype=float) / r
-
-
 def weyl_half_radial_batch(f: Callable[[np.ndarray], np.ndarray],
                            f_prime: Callable[[np.ndarray], np.ndarray],
                            xs: np.ndarray, tol: float = DEFAULT_TOL,
@@ -258,32 +238,28 @@ def weyl_half_radial_batch(f: Callable[[np.ndarray], np.ndarray],
 
     kernel="transported" (default): -(4/pi) int_0^inf p'(w + v^2) dv with
     w = x^2/2 and p(w) = f(sqrt(2w)), the form that passes the residual
-    checks.  kernel="plain" evaluates the printed closed form
+    checks; it is the half-power kernel on the reflected radial map.
+    kernel="plain" evaluates the printed closed form
     -(2 sqrt(2)/pi) int_0^inf f'(x^2 + u^2)/sqrt(x^2 + u^2) du, which treats
     the profile argument without the half-square transport; it is kept for
     comparison and is known to fail the residual check (see
     verify.radial_kernel_discrepancy).
     """
-    xs = np.asarray(xs, dtype=float)
-    if (xs < 0.0).any():
-        raise ValueError("arguments must be >= 0")
     if kernel not in ("transported", "plain"):
         raise ValueError(f"unknown kernel {kernel!r}")
     _probe_decay(f, tol)
     if kernel == "transported":
-        ws = 0.5 * xs * xs
+        return generalized_half_batch(_REFLECTED_RADIAL_MAP, f, f_prime, xs,
+                                      tol, budget)
+    xs = np.asarray(xs, dtype=float)
+    if (xs < 0.0).any():
+        raise ValueError("arguments must be >= 0")
+    x2 = xs * xs
+    pref = -2.0 * math.sqrt(2.0) / math.pi
 
-        def integrand(vs):
-            args = ws[None, :] + (vs * vs)[:, None]
-            return -_FOUR_OVER_PI * _profile_derivative(f_prime, args)
-
-    else:
-        x2 = xs * xs
-        pref = -2.0 * math.sqrt(2.0) / math.pi
-
-        def integrand(us):
-            args = x2[None, :] + (us * us)[:, None]
-            return pref * np.asarray(f_prime(args), dtype=float) / np.sqrt(args)
+    def integrand(us):
+        args = x2[None, :] + (us * us)[:, None]
+        return pref * np.asarray(f_prime(args), dtype=float) / np.sqrt(args)
 
     return integrate_decaying_batch(integrand, tol=tol, budget=budget)
 
@@ -292,8 +268,6 @@ def weyl_half_radial(f: Callable[[float], float],
                      f_prime: Callable[[float], float], x: float,
                      tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
                      kernel: str = "transported") -> float:
-    if not x >= 0.0:
-        raise ValueError("x must be >= 0")
     return _at_point(weyl_half_radial_batch, "weyl_half_radial", (),
                      (f, f_prime), x, tol, budget, kernel=kernel)
 
@@ -312,12 +286,27 @@ def generalized_half_batch(cmap: CoordinateMap,
     g'(w) = f'(F_inv(w)) q(F_inv(w)).  The transported argument must stay in
     F's range as v grows; maps whose decaying direction is ascending should
     be passed reflected (F -> -F, q -> -q), cf. reflected_radial_map.
+
+    ``xs`` must lie in [lo, hi) of ``cmap.domain``.  At x = lo the integral
+    is taken if F(lo) is finite (reflected radial map at 0); if F(lo) = -inf
+    (log map at 0) the value is 0 and f' is not called there.  f is unused.
     """
     xs = np.asarray(xs, dtype=float)
     lo, hi = cmap.domain
-    if not ((xs > lo) & (xs < hi)).all():
-        raise ValueError(f"arguments must lie in the open domain ({lo}, {hi})")
-    ws = np.asarray(cmap.F(xs), dtype=float)
+    if not ((xs >= lo) & (xs < hi)).all():
+        raise ValueError(f"arguments must lie in the domain [{lo}, {hi})")
+    with np.errstate(divide="ignore"):
+        ws = np.asarray(cmap.F(xs), dtype=float)
+    live = ws != -math.inf
+    if not live.all():
+        values = np.zeros_like(xs)
+        errors = np.full_like(xs, 1e-300)
+        if not live.any():
+            return BatchResult(values, errors, 0, True)
+        res = generalized_half_batch(cmap, f, f_prime, xs[live], tol, budget)
+        values[live] = res.values
+        errors[live] = res.errors
+        return BatchResult(values, errors, res.evaluations, res.converged)
 
     def integrand(vs):
         args = ws[None, :] - (vs * vs)[:, None]

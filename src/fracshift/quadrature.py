@@ -440,9 +440,11 @@ def integrate_decaying_batch(f: Callable[[np.ndarray], np.ndarray],
     cutoff = _PROBE_START
     scale = 1.0
     settled = False
+    probes = 0
     for _ in range(40):
         xs = cutoff * np.array([0.7, 0.85, 1.0])
         ys = np.asarray(f(xs), dtype=float)
+        probes += 3
         _check_finite(xs, ys)
         scale = max(scale, float(np.abs(ys).max()))
         if float(np.abs(ys).max()) <= 1e-3 * tol * scale / max(1.0, cutoff):
@@ -459,7 +461,7 @@ def integrate_decaying_batch(f: Callable[[np.ndarray], np.ndarray],
     return BatchResult(
         body.values + tail.values,
         body.errors + tail.errors,
-        body.evaluations + tail.evaluations + 3,
+        body.evaluations + tail.evaluations + probes,
         body.converged and tail.converged,
     )
 
@@ -469,10 +471,7 @@ def _mapped_tail(fv, a: float, tol: float, budget: int) -> BatchResult:
         onemt = 1.0 - ts
         ys = a + ts / onemt
         vals = np.asarray(fv(ys), dtype=float)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            k = int(np.argwhere(bad)[0][0])
-            raise QuadratureDomainError(float(ys[k]))
+        _check_finite(ys, vals)
         jac = 1.0 / (onemt * onemt)
         if vals.ndim == 2:
             jac = jac[:, None]

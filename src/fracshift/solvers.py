@@ -284,7 +284,8 @@ _K_CAP = 100_000
 
 def moebius_partial_sum(f, f_prime, a: float, xs: np.ndarray,
                         K: int) -> np.ndarray:
-    """Shift-series value truncated at k = K, with the integral tail folded in.
+    """Shift-series value truncated at k = K, with the integral tail folded in
+    (f and f_prime must map arrays to arrays).
 
     u_K(x) = sum_{k=0}^{K} h(x_k) + T(K), h(t) = t^2 f'(t),
     x_k = x/(1 + k a x).  The tail T is the Euler-Maclaurin closure of the
@@ -292,8 +293,6 @@ def moebius_partial_sum(f, f_prime, a: float, xs: np.ndarray,
     first correction terms use a central difference for h'.  The leftover is
     O(K^-5), so doubling K is a sharp convergence check.
     """
-    fv = vectorized(f)
-    fp = vectorized(f_prime)
     xs = np.asarray(xs, dtype=float)
     out = np.zeros_like(xs)
     live = xs > 0.0
@@ -302,9 +301,9 @@ def moebius_partial_sum(f, f_prime, a: float, xs: np.ndarray,
     xl = xs[live]
     ks = np.arange(K + 3, dtype=float)
     xk = xl[None, :] / (1.0 + a * np.outer(ks, xl))
-    g = xk * xk * np.asarray(fp(xk), dtype=float)
+    g = xk * xk * np.asarray(f_prime(xk), dtype=float)
     head = g[: K + 1].sum(axis=0)
-    tail = np.asarray(fv(xk[K + 1]), dtype=float) / a + 0.5 * g[K + 1] \
+    tail = np.asarray(f(xk[K + 1]), dtype=float) / a + 0.5 * g[K + 1] \
         - (g[K + 2] - g[K]) / 24.0
     out[live] = head + tail
     return out
@@ -316,13 +315,15 @@ def solve_moebius(f, f_prime, a: float, tol: float = DEFAULT_TOL) -> SolutionFn:
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     _check_vanishes_at_zero(f)
+    fv = vectorized(f)
+    fp = vectorized(f_prime)
 
     def converge(xs: np.ndarray):
         K = _K_START
-        prev = moebius_partial_sum(f, f_prime, a, xs, K)
+        prev = moebius_partial_sum(fv, fp, a, xs, K)
         while True:
             K2 = 2 * K
-            cur = moebius_partial_sum(f, f_prime, a, xs, K2)
+            cur = moebius_partial_sum(fv, fp, a, xs, K2)
             diff = float(np.max(np.abs(cur - prev)))
             if diff <= tol:
                 return cur, K, diff

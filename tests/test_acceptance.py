@@ -197,17 +197,23 @@ def test_radial_solver_and_kernel_discrepancy(verdict):
 def test_generalized_shift_reduces_to_dilatation(verdict):
     grid = np.geomspace(0.1, 5.0, 25)
     worst = 0.0
+    worst_exact = 0.0
     for cmap_coeffs in ({2: 1.0}, {1: 1.0, 3: 1.0}):
         f, fp = _poly(cmap_coeffs)
         direct = solve_gaussian_dilation(f, fp)
         general = solve_generalized_shift(log_map(), f, fp)
-        diff = np.max(np.abs(general.eval_batch(grid)
-                             - direct.eval_batch(grid)))
+        values = general.eval_batch(grid)
+        # (2/sqrt(pi)) sqrt(x d/dx) x^n = (2/sqrt(pi)) sqrt(n) x^n
+        exact = sum(c * (2.0 / math.sqrt(math.pi)) * math.sqrt(n) * grid ** n
+                    for n, c in cmap_coeffs.items())
+        diff = np.max(np.abs(values - direct.eval_batch(grid)))
         worst = max(worst, float(diff))
-    ok = worst <= 1e-8
+        worst_exact = max(worst_exact, float(np.max(np.abs(values - exact))))
+    ok = worst <= 1e-8 and worst_exact <= 1e-8
     verdict("generalized shift reduction", ok,
             f"log-coordinate path vs dilatation solver, max pointwise "
-            f"diff {worst:.3g} (<=1e-8)")
+            f"diff {worst:.3g} (<=1e-8), vs closed form {worst_exact:.3g} "
+            f"(<=1e-8)")
 
 
 def test_moebius_solver(verdict):

@@ -111,6 +111,24 @@ def test_fig1_columns_and_oddness_anchor():
     assert rows.shape == (5, 3)
 
 
+def test_fig1_reports_unconverged_reference(monkeypatch, capsys):
+    # an unconverged reference is named and kept out of the comparison
+    from fracshift import cli
+    from fracshift.quadrature import QuadratureResult
+
+    monkeypatch.setattr(cli, "eval_F_quadrature",
+                        lambda x, nu, tol: QuadratureResult(0.0, 0.05,
+                                                            999975, False))
+    rc = cli.main(["fig1", "--nu", "1.5", "--x-max", "2", "--samples", "2",
+                   "--verify"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert ("reference quadrature did not converge at x=2, nu=1.5 "
+            "(error estimate 0.05)") in err
+    assert "max |series - quadrature| = 0\n" in err
+    assert "FAILED" not in err
+
+
 def test_fig1_rejects_small_nu():
     proc = run_cli("fig1", "--nu", "0.3")
     assert proc.returncode == 2

@@ -216,7 +216,9 @@ def test_generalized_log_map_is_dilatation_path():
     for x in (0.5, 1.0, 2.0):
         a = generalized_half(log_map(), lambda t: np.asarray(t) ** 3, fp, x)
         b = half_sqrt_xd(fp, x)
+        exact = (2.0 / math.sqrt(math.pi)) * math.sqrt(3.0) * x ** 3
         assert a == pytest.approx(b, rel=1e-11)
+        assert a == pytest.approx(exact, rel=1e-11)
 
 
 def test_generalized_reflected_map_is_radial_path():
@@ -226,6 +228,35 @@ def test_generalized_reflected_map_is_radial_path():
         a = generalized_half(cmap, f, fp, x)
         b = weyl_half_radial(f, fp, x)
         assert a == pytest.approx(b, rel=1e-10)
+        assert a == pytest.approx(math.exp(-x * x), rel=1e-10)
+
+
+def test_generalized_reflected_map_takes_lower_end():
+    # F(0) = 0 is finite, so x = 0 is in the domain and the integral is taken
+    beta = 1.3
+    f, fp = _pair(beta)
+    xs = np.array([0.0, 0.7])
+    res = generalized_half_batch(reflected_radial_map(), f, fp, xs)
+    assert res.converged
+    assert res.values == pytest.approx(np.exp(-beta * xs * xs), abs=1e-9)
+
+
+def test_generalized_log_map_is_zero_at_lower_end():
+    # F(0) = -inf: the value is 0 and f' never sees the x = 0 point
+    shapes = []
+
+    def fp(t):
+        t = np.asarray(t, dtype=float)
+        shapes.append(t.shape)
+        return 3.0 * t ** 2
+
+    res = generalized_half_batch(log_map(), lambda t: np.asarray(t) ** 3, fp,
+                                 np.array([0.0, 1.0]))
+    assert res.converged
+    assert res.values[0] == 0.0
+    assert res.values[1] == pytest.approx(
+        (2.0 / math.sqrt(math.pi)) * math.sqrt(3.0), rel=1e-9)
+    assert shapes and all(s[1:] == (1,) for s in shapes)
 
 
 def test_generalized_rejects_point_outside_domain():

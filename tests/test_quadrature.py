@@ -144,6 +144,22 @@ def test_decaying_batch_gaussian_components():
     assert np.all(np.abs(res.values - expect) < 1e-9)
 
 
+@pytest.mark.parametrize("g", [lambda v: np.exp(-v / 10.0),
+                               lambda v: np.exp(-v * v)],
+                         ids=["exp-decay", "gauss"])
+def test_decaying_batch_counts_every_point(g):
+    # the cutoff probe points count too, however many doublings ran
+    seen = []
+
+    def f(v):
+        seen.append(v.size)
+        return g(v)
+
+    res = integrate_decaying_batch(f, tol=1e-10)
+    assert res.converged
+    assert res.evaluations == sum(seen)
+
+
 def test_budget_exhaustion_flags_not_converged():
     # nastily oscillatory with a tiny budget: must not pretend convergence
     f = lambda x: math.sin(1000.0 * x)

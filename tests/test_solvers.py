@@ -242,6 +242,25 @@ def test_moebius_doubling_agreement():
     assert np.max(np.abs(base - double)) < 1e-10
 
 
+def test_moebius_evaluation_makes_no_probe_calls():
+    # f and f' are probed once, in solve_moebius, not at every cutoff tried
+    calls = []
+
+    def f(x):
+        calls.append(np.array(x, dtype=float))
+        return calls[-1] ** 2
+
+    def fp(x):
+        calls.append(np.array(x, dtype=float))
+        return 2.0 * calls[-1]
+
+    u = solve_moebius(f, fp, 1.0)
+    calls.clear()
+    u(2.0)
+    probes = [c for c in calls if np.array_equal(c, [0.5, 1.5])]
+    assert (len(calls), len(probes)) == (4, 0)
+
+
 def test_moebius_vanishes_at_origin():
     u = solve_moebius(_identity, _one, a=1.0)
     assert u(0.0) == 0.0
