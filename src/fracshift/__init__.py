@@ -40,10 +40,7 @@ from .opeval import (
 )
 from .quadrature import (
     DEFAULT_TOL,
-    NO_SINGULARITY,
     QuadratureResult,
-    SingularityHint,
-    SingularityKind,
     integrate_finite,
     integrate_semi_infinite,
 )
@@ -104,10 +101,7 @@ __all__ = [
     "eval_I",
     "eval_I_quadrature",
     "DEFAULT_TOL",
-    "NO_SINGULARITY",
     "QuadratureResult",
-    "SingularityHint",
-    "SingularityKind",
     "integrate_finite",
     "integrate_semi_infinite",
     "PowerSeries",

@@ -12,8 +12,7 @@ and the half power needed by the dilation equations is its derivative form
 
 All kernels are computed in substituted variables with the endpoint
 singularity removed (s = t^(1/nu) for the power kernel, s = v^2 for the
-half-power ones); the raw forms over (0, x) remain reachable through
-integrate_finite with a log-power hint and are used as cross-checks.
+half-power ones).
 
 Coordinate transport: for a generator q(x) d/dx with antiderivative
 F(x) = int dx/q(x), the shifted function is g(F^-1(lambda + F(x))), so the

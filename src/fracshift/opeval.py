@@ -60,7 +60,8 @@ class MultiplierIntegral:
 
     When ``g_direct`` is supplied, construction cross-checks O against direct
     quadrature at three probe exponents above the floor (1e-7 agreement) and
-    refuses the instance otherwise.
+    refuses the instance otherwise (ConvergenceError if a probe does not
+    converge).
     """
 
     O: Callable[[float], float]
@@ -75,6 +76,9 @@ class MultiplierIntegral:
             claimed = float(self.O(mu))
             g = self.g_direct
             oracle = integrate_semi_infinite(lambda t: g(t) ** mu, 0.0, 1e-9)
+            if not oracle.converged:
+                raise ConvergenceError(f"moment probe at mu={mu} did not converge "
+                                       f"(error estimate {oracle.abs_error_estimate:.3g})")
             if abs(claimed - oracle.value) > 1e-7:
                 raise ValueError(
                     f"moment function disagrees with quadrature at mu={mu}: "
@@ -196,14 +200,19 @@ def eval_F_quadrature(x: float, nu: float,
 
 
 def eval_F(x: float, nu: float, tol: float = 1e-14) -> float:
-    """Series value for |x| <= 10, quadrature beyond or on precision loss."""
+    """Series value for |x| <= 10, quadrature beyond or on precision loss;
+    ConvergenceError when that quadrature does not converge."""
     if abs(x) <= _SERIES_X_LIMIT:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PrecisionWarning)
             res = eval_F_series(x, nu, tol)
         if res.cancellation_index <= CANCELLATION_GATE:
             return res.value
-    return eval_F_quadrature(x, nu, max(tol, 1e-12)).value
+    quad = eval_F_quadrature(x, nu, max(tol, 1e-12))
+    if not quad.converged:
+        raise ConvergenceError(f"F({x!r}, {nu!r}): quadrature did not converge "
+                               f"(error estimate {quad.abs_error_estimate:.3g})")
+    return quad.value
 
 
 def eval_G(mi: MultiplierIntegral, f_series: PowerSeries, x: float) -> float:

@@ -1,21 +1,19 @@
-"""Adaptive quadrature with singularity-removing substitutions.
+"""Adaptive Gauss-Kronrod quadrature that needs no singularity hints.
 
 The engine is a Gauss-Kronrod (7,15) bisection scheme that always refines the
-subinterval with the largest error estimate.  Endpoint trouble is never handled
-by brute refinement when the caller can say what it is:
-
-* ``inverse_sqrt_lower`` / ``inverse_sqrt_upper``: the substitution
-  u^2 = distance-to-endpoint turns 1/sqrt singularities into smooth integrands.
-* ``log_power_upper(p)``: for kernels behaving like ln^p(b/x) at the upper
-  endpoint, s = ln(b/x) followed by s = t^(1/(1+p)) removes the singularity
-  (p > -1).
-* semi-infinite ranges use y = a + t/(1-t) on (0,1); oscillatory integrands
-  are instead summed over caller-supplied sign-constant segments (half-periods)
-  with an Euler transform accelerating the alternating segment sums.
+subinterval with the largest error estimate.  A pass that stalls at an end of
+its range (an integrable endpoint singularity, or the algebraic decay that the
+semi-infinite map y = a + t/(1-t) turns into one) is finished by Wynn-epsilon
+extrapolation over the bisection levels towards that end, as in QUADPACK's
+QAGS/QAGI; one that stalls inside the range stops unconverged (``_adaptive``).
+Oscillatory integrands are instead summed over caller-supplied sign-constant
+segments (half-periods), the same epsilon algorithm accelerating the
+alternating segment sums.
 
 Tolerances are absolute.  Integrands are sampled only at interior points, but
-substitutions may probe arguments that have underflowed to an endpoint value
-(for example x*exp(-s) == 0.0 for huge s); integrands must tolerate that.
+a caller's substitution may probe arguments that have underflowed to an
+endpoint value (for example x*exp(-s) == 0.0 for huge s); integrands must
+tolerate that.
 
 Every routine exists in a scalar form (the public contract) and a batch form
 used by the operator kernels, where the integrand maps a node array of shape
@@ -25,7 +23,6 @@ tolerance in one adaptive pass.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import math
 import warnings
@@ -64,36 +61,14 @@ _WG = np.array([
 
 _DIVERGENCE_BOUND = 1e100
 _ERR_FLOOR = 1e-300
-
-
-class SingularityKind(enum.Enum):
-    NONE = "none"
-    INVERSE_SQRT_LOWER = "inverse_sqrt_lower"
-    INVERSE_SQRT_UPPER = "inverse_sqrt_upper"
-    LOG_POWER_UPPER = "log_power_upper"
-
-
-@dataclass(frozen=True)
-class SingularityHint:
-    """Declares the endpoint behaviour of an integrand.
-
-    ``exponent`` is only meaningful for LOG_POWER_UPPER and is the power p of
-    the ln^p(b/x) factor; it must exceed -1 for integrability.
-    """
-
-    kind: SingularityKind = SingularityKind.NONE
-    exponent: float = 0.0
-
-    def __post_init__(self):
-        if not isinstance(self.kind, SingularityKind):
-            raise ValueError(f"unknown singularity kind: {self.kind!r}")
-        if self.kind is SingularityKind.LOG_POWER_UPPER and not self.exponent > -1.0:
-            raise ValueError(
-                f"log-power exponent must exceed -1, got {self.exponent}"
-            )
-
-
-NO_SINGULARITY = SingularityHint(SingularityKind.NONE)
+# Endpoint extrapolation: over the last _LEVELS level differences each is at
+# most _RATIO times the one before; a neighbourhood of a stalled end spans at
+# least _NEAR_ULPS float64 spacings there (its nodes are placed to 1e-8 of its
+# width); wynn_epsilon keeps the last _EPS_TERMS terms (QUADPACK's limexp).
+_LEVELS = 8
+_RATIO = 0.95
+_NEAR_ULPS = 1e8
+_EPS_TERMS = 50
 
 
 @dataclass(frozen=True)
@@ -162,6 +137,10 @@ class _Panel:
         self.ik = ik
         self.err = err
 
+    @property
+    def mid(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
 
 def _eval_panel(fv, lo: float, hi: float):
     half = 0.5 * (hi - lo)
@@ -186,34 +165,58 @@ def _eval_panel(fv, lo: float, hi: float):
     return _Panel(lo, hi, np.atleast_1d(ik), np.atleast_1d(err))
 
 
-def _adaptive(fv, segments: Sequence[tuple[float, float]], tol: float,
-              budget: int) -> BatchResult:
-    """Drive all components of a vectorized integrand below ``tol``.
+def _adaptive(fv, a: float, b: float, tol: float, budget: int) -> BatchResult:
+    """Drive all components of a vectorized integrand on (a, b) below ``tol``.
 
-    ``segments`` is the initial panel list; refinement always bisects the
-    panel whose worst component error is largest.
+    Refinement always bisects the panel whose worst component error is
+    largest.  A panel too narrow to bisect is frozen.  Once the frozen error
+    alone exceeds ``tol`` the pass has stalled and can never converge by
+    bisection.  At an interior panel it stops at once.  At an end, the panels
+    near that end are set aside, the others are refined to ``tol / 4`` (until
+    ten bisections have settled nothing, QUADPACK's roundoff test), and the
+    level sums (``_level_sums``) are extrapolated by ``wynn_epsilon``; the
+    limit is taken when its error plus the panels' own is within ``tol``.
     """
-    evals = 0
-    heap: list[tuple[float, int, _Panel]] = []
+    p = _eval_panel(fv, a, b)
+    evals = 15
+    heap: list[tuple[float, int, _Panel]] = [(-float(p.err.max()), 0, p)]
+    seq = 1
+    value = p.ik.copy()
+    err = p.err.copy()
     frozen: list[_Panel] = []
-    seq = 0
-    value = None
-    err = None
-    for lo, hi in segments:
-        p = _eval_panel(fv, lo, hi)
-        evals += 15
-        heapq.heappush(heap, (-float(p.err.max()), seq, p))
-        seq += 1
-        value = p.ik.copy() if value is None else value + p.ik
-        err = p.err.copy() if err is None else err + p.err
+    ferr = np.zeros_like(err)  # error of the panels in ``frozen``
+    stalled: dict[float, int] = {}  # stalled end -> level of its neighbourhood
+    aside: list[_Panel] = []  # panels inside those neighbourhoods
+    goal = tol
+    roundoff = 0
 
-    while float(err.max()) > tol:
+    while float(err.max()) > goal:
         if evals + 30 > budget or not heap:
             break
         _, _, worst = heapq.heappop(heap)
         width = worst.hi - worst.lo
         if width < 50.0 * np.finfo(float).eps * (abs(worst.lo) + abs(worst.hi) + 1.0):
-            frozen.append(worst)  # cannot be refined further in float64
+            # cannot be refined further in float64
+            end = a if worst.lo == a else b if worst.hi == b else None
+            if end is not None and (stalled or float((ferr + worst.err).max()) > tol):
+                near = max(width, _NEAR_ULPS * np.finfo(float).eps * abs(end))
+                stalled[end] = k = round(math.log2((b - a) / near))
+                near = (b - a) * 0.5 ** k
+                aside += [worst] + [q for q in frozen + [h[2] for h in heap]
+                                    if abs(q.mid - end) < near]
+                heap = [h for h in heap if abs(h[2].mid - end) > near]
+                heapq.heapify(heap)
+                frozen = [q for q in frozen if abs(q.mid - end) > near]
+                ferr = sum((q.err for q in frozen), np.zeros_like(err))
+                err = sum((h[2].err for h in heap), ferr)
+                goal = 0.25 * tol
+                if _level_sums([h[2] for h in heap] + frozen, stalled, a, b) is None:
+                    break  # no limit at this end: finishing cannot help
+            else:
+                frozen.append(worst)
+                ferr = ferr + worst.err
+            if float(ferr.max()) > goal:
+                break  # stalled at an interior panel
             continue
         mid = 0.5 * (worst.lo + worst.hi)
         left = _eval_panel(fv, worst.lo, mid)
@@ -225,6 +228,13 @@ def _adaptive(fv, segments: Sequence[tuple[float, float]], tol: float,
         seq += 1
         value = value - worst.ik + left.ik + right.ik
         err = err - worst.err + left.err + right.err
+        if stalled:  # count bisections that settle nothing, as QUADPACK does
+            pair = left.ik + right.ik
+            if np.all(np.abs(pair - worst.ik) <= 1e-5 * np.abs(pair)) and \
+                    float((left.err + right.err).max()) >= 0.99 * float(worst.err.max()):
+                roundoff += 1
+                if roundoff == 10:
+                    break  # rounding, not the integrand, limits the error
         if float(np.abs(value).max()) > _DIVERGENCE_BOUND:
             raise DivergenceError(
                 "partial sums exceeded bound; integral appears divergent"
@@ -233,11 +243,67 @@ def _adaptive(fv, segments: Sequence[tuple[float, float]], tol: float,
     # Recompute the totals from the surviving panels; incremental updates are
     # only used to steer refinement.
     panels = [p for _, _, p in heap] + frozen
+    sums = _level_sums(panels, stalled, a, b) if stalled else None
+    if sums is not None:
+        limits = np.array([wynn_epsilon(s) for s in sums.T])
+        errors = limits[:, 1] + np.sum(np.stack([p.err for p in panels]), axis=0)
+        if float(errors.max()) <= tol:
+            return BatchResult(limits[:, 0], errors, evals, True)
+    panels += aside
     value = np.sum(np.stack([p.ik for p in panels]), axis=0)
     err_final = np.maximum(np.sum(np.stack([p.err for p in panels]), axis=0),
                            _ERR_FLOOR)
     return BatchResult(value, err_final, evals,
                        bool(float(err_final.max()) <= tol))
+
+
+def _level_sums(panels: list[_Panel], stalled: dict[float, int], a: float,
+                b: float) -> np.ndarray | None:
+    """Rows S_k, k = 1 .. the shallowest level in ``stalled``: the sums of the
+    ``panels`` outside the neighbourhoods of width (b-a) 2^-k of the stalled
+    ends (bisection is dyadic, so no panel straddles one).  None unless the
+    level differences shrink by _RATIO over the last _LEVELS levels, since a
+    divergent S_k has an epsilon-algorithm antilimit too."""
+    depth = min(stalled.values())
+    if depth <= _LEVELS:
+        return None
+    mids = np.array([p.mid for p in panels])
+    dist = np.min([np.abs(mids - end) for end in stalled], axis=0) / (b - a)
+    outside = dist > 0.5 ** np.arange(1, depth + 1)[:, None]
+    sums = outside.astype(float) @ np.stack([p.ik for p in panels])
+    steps = np.abs(np.diff(sums[-_LEVELS - 1:], axis=0))
+    return sums if np.all(steps[1:] <= _RATIO * steps[:-1]) else None
+
+
+def wynn_epsilon(partial_sums: Sequence[float]) -> tuple[float, float]:
+    """(estimate, error) of the limit of a sequence by Wynn's epsilon
+    algorithm.  Each prefix of the last _EPS_TERMS terms gives an estimate,
+    its highest even column's entry; as in QUADPACK's qelg, its error is the
+    distance to the three estimates before it.  The estimate with the
+    smallest error is returned (error inf for fewer than four terms).  A row
+    of the table stops where two entries agree to rounding."""
+    seq = [float(s) for s in partial_sums][-_EPS_TERMS:]
+    if not seq:
+        raise ValueError("need at least one partial sum")
+    eps = np.finfo(float).eps
+    ests: list[float] = []
+    best = (seq[-1], math.inf)
+    prev: list[float] = []  # previous row: eps_k^(i-1-k) for k = 0, 1, ...
+    for s in seq:
+        row = [s]
+        for k in range(1, len(prev) + 1):
+            diff = row[k - 1] - prev[k - 1]
+            if abs(diff) <= eps * max(abs(row[k - 1]), abs(prev[k - 1])):
+                break
+            row.append((prev[k - 2] if k >= 2 else 0.0) + 1.0 / diff)
+        est = row[(len(row) - 1) // 2 * 2]
+        if len(ests) >= 3:
+            spread = max(sum(abs(est - e) for e in ests[-3:]), 5.0 * eps * abs(est))
+            if spread <= best[1]:
+                best = (est, spread)
+        ests.append(est)
+        prev = row
+    return best
 
 
 def _to_scalar(res: BatchResult) -> QuadratureResult:
@@ -250,62 +316,20 @@ def _to_scalar(res: BatchResult) -> QuadratureResult:
 
 
 def integrate_finite(f: Callable[[float], float], a: float, b: float,
-                     hint: SingularityHint = NO_SINGULARITY,
                      tol: float = DEFAULT_TOL,
                      budget: int = DEFAULT_BUDGET) -> QuadratureResult:
-    """Integrate f over (a, b) with endpoint behaviour declared by ``hint``.
+    """Integrate f over (a, b).
 
-    Endpoints themselves are never sampled.  Raises QuadratureDomainError on a
+    Endpoints themselves are never sampled; an integrable singularity at an
+    endpoint is handled by extrapolation.  Raises QuadratureDomainError on a
     non-finite interior sample, DivergenceError when partial sums blow up, and
-    returns converged=False on budget exhaustion.
+    returns converged=False on budget exhaustion or a stall.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got ({a}, {b})")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    fv = elementwise(f)
-    kind = hint.kind
-    if kind is SingularityKind.NONE:
-        res = _adaptive(fv, [(a, b)], tol, budget)
-        return _to_scalar(res)
-    if kind is SingularityKind.INVERSE_SQRT_LOWER:
-        w = math.sqrt(b - a)
-
-        def gv(us):
-            xs = a + us * us
-            return fv(xs) * 2.0 * us
-
-        res = _adaptive(gv, [(0.0, w)], tol, budget)
-        return _to_scalar(res)
-    if kind is SingularityKind.INVERSE_SQRT_UPPER:
-        w = math.sqrt(b - a)
-
-        def gv(us):
-            xs = b - us * us
-            return fv(xs) * 2.0 * us
-
-        res = _adaptive(gv, [(0.0, w)], tol, budget)
-        return _to_scalar(res)
-    # LOG_POWER_UPPER: s = ln(b/x), then s = t^c with c = 1/(1+p).
-    if not b > 0.0 or a < 0.0:
-        raise ValueError("log-power hint requires 0 <= a < b with b > 0")
-    p = hint.exponent
-    c = 1.0 / (1.0 + p)
-    # Clip where b*exp(-s) underflows; f cannot be probed below that anyway.
-    s_max = math.log(b) + 667.0
-    if a > 0.0:
-        s_max = min(s_max, math.log(b / a))
-    t_max = s_max ** (1.0 + p)
-
-    def gv(ts):
-        ss = ts ** c
-        xs = b * np.exp(-ss)
-        with np.errstate(over="ignore"):
-            jac = b * np.exp(-ss) * c * ts ** (c - 1.0)
-        return fv(xs) * jac
-
-    res = _adaptive(gv, [(0.0, t_max)], tol, budget)
-    return _to_scalar(res)
+    return _to_scalar(_adaptive(elementwise(f), a, b, tol, budget))
 
 
 def integrate_semi_infinite(f: Callable[[float], float], a: float = 0.0,
@@ -320,7 +344,7 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float = 0.0,
     ``breakpoints`` (ascending, > a); the segment integrals are then summed
     directly, with the remainder handled by the mapped tail, or, when
     ``alternating_tail`` is set, by extending the segment ladder at the last
-    spacing and Euler-accelerating the alternating partial sums.
+    spacing and extrapolating the alternating partial sums (wynn_epsilon).
     """
     if not math.isfinite(a):
         raise ValueError("lower limit must be finite")
@@ -328,8 +352,7 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float = 0.0,
         raise ValueError("tol must be positive")
     fv = elementwise(f)
     if not breakpoints:
-        res = _mapped_tail(fv, a, tol, budget)
-        return _to_scalar(res)
+        return _to_scalar(_mapped_tail(fv, a, tol, budget))
 
     pts = [a] + sorted(float(b) for b in breakpoints)
     if pts[1] <= a:
@@ -342,7 +365,7 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float = 0.0,
     ok = True
     sums = []
     for lo, hi in zip(pts[:-1], pts[1:]):
-        r = _adaptive(fv, [(lo, hi)], seg_tol, budget - evals)
+        r = _adaptive(fv, lo, hi, seg_tol, budget - evals)
         value += float(r.values[0])
         err += float(r.errors[0])
         evals += r.evaluations
@@ -358,54 +381,21 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float = 0.0,
         return QuadratureResult(value, max(err, _ERR_FLOOR), evals, ok and err <= tol)
 
     # Extend the ladder at the last spacing; the partial sums of the segment
-    # series (which include the pre-breakpoint head) alternate, so the Euler
-    # transform estimates their limit.
-    spacing = pts[-1] - pts[-2] if n_seg >= 2 else pts[-1] - pts[0]
+    # series (which include the pre-breakpoint head) alternate, so the epsilon
+    # algorithm estimates their limit.
+    spacing = pts[-1] - pts[-2]
     partials = [math.fsum(sums)]
-    lo = pts[-1]
-    tail_est = math.inf
-    tail_val = partials[-1]
-    for _ in range(4096):
-        hi = lo + spacing
-        r = _adaptive(fv, [(lo, hi)], seg_tol, budget - evals)
+    for k in range(4096):
+        lo = pts[-1] + k * spacing
+        r = _adaptive(fv, lo, lo + spacing, seg_tol, budget - evals)
         evals += r.evaluations
         err += float(r.errors[0])
         partials.append(partials[-1] + float(r.values[0]))
-        lo = hi
-        if len(partials) >= 6:
-            tail_val, tail_est = euler_transform(partials)
-            if tail_est < tol / 2.0:
-                break
-        if evals + 30 > budget:
-            ok = False
+        value, tail_est = wynn_epsilon(partials)
+        if tail_est < tol / 2.0 or evals + 30 > budget:
             break
-    else:
-        ok = False
-    if math.isfinite(tail_est):
-        value = tail_val
-        err += tail_est
-    else:
-        value = partials[-1]
-        ok = False
-    err = max(err, _ERR_FLOOR)
+    err = max(err + tail_est, _ERR_FLOOR)
     return QuadratureResult(value, err, evals, ok and err <= tol)
-
-
-def euler_transform(partial_sums: Sequence[float]) -> tuple[float, float]:
-    """Iterated-mean Euler transform of a sequence of partial sums.
-
-    Returns (estimate, error_estimate).  Geometric for alternating tails.
-    """
-    row = np.asarray(partial_sums, dtype=float)
-    if row.size == 0:
-        raise ValueError("need at least one partial sum")
-    if row.size == 1:
-        return float(row[0]), math.inf
-    ests = [float(row[-1])]
-    while row.size > 1:
-        row = 0.5 * (row[:-1] + row[1:])
-        ests.append(float(row[-1]))
-    return ests[-1], abs(ests[-1] - ests[-2])
 
 
 # -- batch API used by the operator kernels ----------------------------------
@@ -417,7 +407,7 @@ def integrate_finite_batch(f: Callable[[np.ndarray], np.ndarray], a: float,
     """Adaptive pass over an array-valued integrand on (a, b)."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got ({a}, {b})")
-    return _adaptive(f, [(a, b)], tol, budget)
+    return _adaptive(f, a, b, tol, budget)
 
 
 def integrate_semi_infinite_batch(f: Callable[[np.ndarray], np.ndarray],
@@ -439,7 +429,6 @@ def integrate_decaying_batch(f: Callable[[np.ndarray], np.ndarray],
     """
     cutoff = _PROBE_START
     scale = 1.0
-    settled = False
     probes = 0
     for _ in range(40):
         xs = cutoff * np.array([0.7, 0.85, 1.0])
@@ -448,16 +437,16 @@ def integrate_decaying_batch(f: Callable[[np.ndarray], np.ndarray],
         _check_finite(xs, ys)
         scale = max(scale, float(np.abs(ys).max()))
         if float(np.abs(ys).max()) <= 1e-3 * tol * scale / max(1.0, cutoff):
-            settled = True
             break
         cutoff *= 2.0
-    if not settled:
+    else:
         warnings.warn(
             "integrand not visibly decayed at the probe cap; tail handled by "
             "the mapped panel only", DecayWarning, stacklevel=2,
         )
-    body = _adaptive(f, [(0.0, cutoff)], tol * 0.5, budget)
-    tail = _mapped_tail(f, cutoff, tol * 0.5, max(budget - body.evaluations, 450))
+    # The probes are charged to the budget and the tail's first panel is kept.
+    body = _adaptive(f, 0.0, cutoff, tol * 0.5, budget - probes - 15)
+    tail = _mapped_tail(f, cutoff, tol * 0.5, budget - probes - body.evaluations)
     return BatchResult(
         body.values + tail.values,
         body.errors + tail.errors,
@@ -477,4 +466,4 @@ def _mapped_tail(fv, a: float, tol: float, budget: int) -> BatchResult:
             jac = jac[:, None]
         return vals * jac
 
-    return _adaptive(gv, [(0.0, 1.0)], tol, budget)
+    return _adaptive(gv, 0.0, 1.0, tol, budget)

@@ -1,17 +1,26 @@
 """End-to-end command line checks via subprocess."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import fracshift
+
+# The child imports the same fracshift as this process, installed or not.
+_PATH = os.pathsep.join(filter(None, [str(Path(fracshift.__file__).parents[1]),
+                                      os.environ.get("PYTHONPATH")]))
 
 
 def run_cli(*args, timeout=120):
     return subprocess.run(
         [sys.executable, "-m", "fracshift", *args],
         capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": _PATH},
     )
 
 

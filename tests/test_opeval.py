@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fracshift.errors import DivergenceError, SeriesOverflowError
+from fracshift.errors import ConvergenceError, DivergenceError, SeriesOverflowError
 from fracshift.opeval import (
     ExponentialProfile,
     MultiplierIntegral,
@@ -13,6 +13,7 @@ from fracshift.opeval import (
     eval_I,
     eval_I_quadrature,
 )
+from fracshift.quadrature import QuadratureResult
 from fracshift.series import PowerSeries
 from fracshift.specfun import gamma_ratio
 
@@ -92,6 +93,21 @@ def test_F_dispatcher_large_x_uses_quadrature():
     assert eval_F(x, nu) == pytest.approx(ref, abs=1e-9)
 
 
+def test_F_quadrature_below_rounding_fails_fast():
+    # tol 1e-12 on a tail worth ~224 is below float64 rounding: the pass
+    # stops after a few bisections that settle nothing, not at the budget
+    res = eval_F_quadrature(30.0, 0.55, 1e-12)
+    assert not res.converged
+    assert res.evaluations < 10_000
+
+
+def test_F_dispatcher_refuses_unconverged_quadrature(monkeypatch):
+    monkeypatch.setattr("fracshift.opeval.eval_F_quadrature",
+                        lambda x, nu, tol: QuadratureResult(0.0, 0.05, 999975, False))
+    with pytest.raises(ConvergenceError, match=r"F\(30\.0, 0\.55\).*0\.05"):
+        eval_F(30.0, 0.55)
+
+
 # -- moment-function symbol ---------------------------------------------------
 
 def _moment(mu):
@@ -107,6 +123,16 @@ def test_multiplier_integral_probe_rejects_wrong_moments():
     with pytest.raises(ValueError):
         MultiplierIntegral(lambda mu: _moment(mu) + 1e-3, 0.5,
                            lambda y: 1.0 / (1.0 + y * y))
+
+
+def test_multiplier_integral_probe_refuses_unconverged_oracle(monkeypatch):
+    # an unconverged probe proves nothing, even when its value agrees
+    def unconverged(f, a, tol):
+        return QuadratureResult(_moment(0.75), 0.05, 999975, False)
+
+    monkeypatch.setattr("fracshift.opeval.integrate_semi_infinite", unconverged)
+    with pytest.raises(ConvergenceError, match="mu=0.75"):
+        MultiplierIntegral(_moment, 0.5, lambda y: 1.0 / (1.0 + y * y))
 
 
 def test_eval_G_linear_data():

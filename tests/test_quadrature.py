@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fracshift.errors import DivergenceError, QuadratureDomainError
+from fracshift.errors import DecayWarning, DivergenceError, QuadratureDomainError
 from fracshift.quadrature import (
-    SingularityHint,
-    SingularityKind,
-    euler_transform,
     integrate_decaying_batch,
     integrate_finite,
     integrate_finite_batch,
     integrate_semi_infinite,
     integrate_semi_infinite_batch,
+    wynn_epsilon,
 )
 
 from conftest import simpson
@@ -30,31 +28,84 @@ def test_smooth_vs_simpson():
     assert abs(res.value - simpson(f, 0.0, 2.0, 4000)) < 1e-10
 
 
+# Endpoint singularities need no declaration: a pass that stalls at an end
+# of its range extrapolates over the bisection levels towards it.
+
 def test_inverse_sqrt_lower_hint():
-    hint = SingularityHint(SingularityKind.INVERSE_SQRT_LOWER, -0.5)
-    res = integrate_finite(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, hint=hint)
+    res = integrate_finite(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0)
     assert res.converged
     assert abs(res.value - 2.0) < 1e-10
 
 
 def test_inverse_sqrt_upper_hint():
-    hint = SingularityHint(SingularityKind.INVERSE_SQRT_UPPER, -0.5)
-    res = integrate_finite(lambda x: 1.0 / math.sqrt(1.0 - x), 0.0, 1.0,
-                           hint=hint)
+    res = integrate_finite(lambda x: 1.0 / math.sqrt(1.0 - x), 0.0, 1.0)
+    assert res.converged
     assert abs(res.value - 2.0) < 1e-10
 
 
 def test_log_power_upper_hint():
     # int_0^1 (-ln x)^(-1/2) dx = Gamma(1/2) = sqrt(pi)
-    hint = SingularityHint(SingularityKind.LOG_POWER_UPPER, -0.5)
-    res = integrate_finite(lambda x: (-math.log(x)) ** -0.5, 0.0, 1.0,
-                           hint=hint)
+    res = integrate_finite(lambda x: (-math.log(x)) ** -0.5, 0.0, 1.0)
     assert abs(res.value - math.sqrt(math.pi)) < 1e-9
 
 
-def test_hint_validation():
-    with pytest.raises(ValueError):
-        SingularityHint(SingularityKind.LOG_POWER_UPPER, -1.0)
+def _algebraic_moment(p):
+    # int_0^inf (1+y^2)^-p dy = (sqrt(pi)/2) Gamma(p - 1/2) / Gamma(p)
+    return 0.5 * math.sqrt(math.pi) * math.gamma(p - 0.5) / math.gamma(p)
+
+
+CALIBRATION = (
+    [(f"x^{al}", lambda x, al=al: x ** al, 1.0 / (1.0 + al), False)
+     for al in (-0.5, -0.7, -0.9)]
+    + [(f"(1-x)^{al}", lambda x, al=al: (1.0 - x) ** al, 1.0 / (1.0 + al), False)
+       for al in (-0.5, -0.7, -0.9)]
+    + [("(-lnx)^-0.5", lambda x: (-math.log(x)) ** -0.5, math.sqrt(math.pi), False),
+       ("x^-0.5(1-x)^-0.5", lambda x: (x * (1.0 - x)) ** -0.5, math.pi, False)]
+    + [(f"(1+y^2)^-{p}", lambda y, p=p: (1.0 + y * y) ** -p,
+        _algebraic_moment(p), True) for p in (0.55, 0.6, 0.75, 0.9)]
+)
+MUST_CONVERGE = ("x^-0.5", "(1-x)^-0.5", "(1+y^2)^-0.75")
+
+
+@pytest.mark.parametrize("name,f,exact,semi", CALIBRATION,
+                         ids=[c[0] for c in CALIBRATION])
+def test_endpoint_extrapolation_is_calibrated(name, f, exact, semi):
+    # every converged=True result lies within tol of the closed form
+    tol = 1e-9 if semi else 1e-10
+    res = integrate_semi_infinite(f, 0.0, tol) if semi \
+        else integrate_finite(f, 0.0, 1.0, tol=tol)
+    assert res.evaluations < 10_000
+    if res.converged:
+        assert abs(res.value - exact) <= tol
+    assert res.converged or name not in MUST_CONVERGE
+
+
+DIVERGENT = [
+    ("x^-1", lambda x: 1.0 / x, False),
+    ("x^-1.5", lambda x: x ** -1.5, False),
+    ("(1-x)^-1", lambda x: 1.0 / (1.0 - x), False),
+    ("(1+y)^-1", lambda y: 1.0 / (1.0 + y), True),
+    ("(1+y)^-0.9", lambda y: (1.0 + y) ** -0.9, True),
+]
+
+
+@pytest.mark.parametrize("name,f,semi", DIVERGENT, ids=[d[0] for d in DIVERGENT])
+def test_divergent_endpoint_never_converges(name, f, semi):
+    # Wynn's epsilon has an antilimit for these; it must not be reported
+    try:
+        res = integrate_semi_infinite(f, 0.0) if semi \
+            else integrate_finite(f, 0.0, 1.0)
+    except DivergenceError:
+        return
+    assert not res.converged
+    assert res.evaluations < 10_000
+
+
+def test_interior_singularity_fails_fast():
+    # bisection freezes at x = 1/3 with the error above tol: stop there
+    res = integrate_finite(lambda x: abs(x - 1.0 / 3.0) ** -0.5, 0.0, 1.0)
+    assert not res.converged
+    assert res.evaluations < 10_000
 
 
 def test_nonfinite_integrand_reports_abscissa():
@@ -96,14 +147,14 @@ def test_divergence_detected():
         integrate_semi_infinite(math.exp, 0.0)
 
 
-def test_euler_transform_alternating():
+def test_wynn_epsilon_alternating():
     # partial sums of log(2) = sum (-1)^(k+1)/k
     partial = []
     s = 0.0
     for k in range(1, 20):
         s += (-1.0) ** (k + 1) / k
         partial.append(s)
-    est, err = euler_transform(partial)
+    est, err = wynn_epsilon(partial)
     assert abs(est - math.log(2.0)) < 1e-7
     assert err < 1e-5
 
@@ -164,4 +215,12 @@ def test_budget_exhaustion_flags_not_converged():
     # nastily oscillatory with a tiny budget: must not pretend convergence
     f = lambda x: math.sin(1000.0 * x)
     res = integrate_finite(f, 0.0, 1.0, tol=1e-14, budget=200)
+    assert not res.converged
+
+
+def test_decaying_batch_stays_within_budget():
+    # a non-decaying integrand: probes, body and tail together keep to budget
+    with pytest.warns(DecayWarning):
+        res = integrate_decaying_batch(np.cos, budget=3000)
+    assert res.evaluations <= 3000
     assert not res.converged
