@@ -23,7 +23,6 @@ from .fracops import (
     generalized_half,
     half_sqrt_xd,
     log_map,
-    radial_map,
     reflected_radial_map,
     weyl_half_radial,
     xd_negpow,
@@ -88,7 +87,6 @@ __all__ = [
     "generalized_half",
     "half_sqrt_xd",
     "log_map",
-    "radial_map",
     "reflected_radial_map",
     "weyl_half_radial",
     "xd_negpow",

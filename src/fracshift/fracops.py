@@ -117,20 +117,10 @@ def log_map() -> CoordinateMap:
     return CoordinateMap(np.log, np.exp, lambda x: x * 1.0, (0.0, math.inf), "log")
 
 
-def radial_map() -> CoordinateMap:
-    """w = x^2/2 on (0, inf); generator q(x) = 1/x (ascending shifts)."""
-    return CoordinateMap(
-        lambda x: 0.5 * x * x,
-        lambda w: np.sqrt(2.0 * w),
-        lambda x: 1.0 / x,
-        (0.0, math.inf),
-        "radial",
-    )
-
-
 def reflected_radial_map() -> CoordinateMap:
-    """w = -x^2/2 on (0, inf): the radial map with the decaying direction
-    descending, so the Riemann-Liouville kernel applies."""
+    """w = -x^2/2 on (0, inf): the radial map w = x^2/2 (generator 1/x,
+    ascending shifts) with the decaying direction descending, so the
+    Riemann-Liouville kernel applies."""
     return CoordinateMap(
         lambda x: -0.5 * x * x,
         lambda w: np.sqrt(-2.0 * w),
@@ -151,6 +141,17 @@ def _at_point(batch, what: str, lead: tuple, fs: tuple, x: float,
     res = batch(*lead, *map(elementwise, fs), np.array([float(x)]), tol,
                 budget, **kwargs)
     return float(res.converged_values(what)[0])
+
+
+_NEAR_ZERO = math.exp(-700.0)  # about 1e-304, still a normal float64
+
+
+def value_near_zero(f, xs) -> float:
+    """max |f(x e^-700)| over ``xs`` (a float or an array), in one call of f:
+    f next to 0.  NaN if f is NaN there, so a ``not value <= bound`` test
+    refuses it."""
+    ys = np.asarray(f(np.multiply(xs, _NEAR_ZERO)), dtype=float)
+    return float(np.max(np.abs(ys)))
 
 
 def _probe_decay(f, tol: float) -> None:
@@ -180,12 +181,11 @@ def xd_negpow_batch(nu: float, f: Callable[[np.ndarray], np.ndarray],
     xs = np.asarray(xs, dtype=float)
     if not (xs > 0.0).all():
         raise ValueError("arguments must be positive")
-    probe = np.max(np.abs(np.asarray(f(xs * math.exp(-40.0)), dtype=float)))
-    if probe > tol:
+    probe = value_near_zero(f, xs)
+    if not probe <= tol:
         raise DivergenceError(
-            "f does not vanish at 0 (probe at x*e^-40 gave "
-            f"{float(probe):.3g}); the spectral value at index 0 has no "
-            "negative power"
+            f"f does not vanish at 0 (probe at x*e^-700 gave {probe:.3g}); "
+            "the spectral value at index 0 has no negative power"
         )
     inv_nu = 1.0 / nu
     pref = math.exp(-math.lgamma(nu + 1.0))

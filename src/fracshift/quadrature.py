@@ -6,9 +6,10 @@ its range (an integrable endpoint singularity, or the algebraic decay that the
 semi-infinite map y = a + t/(1-t) turns into one) is finished by Wynn-epsilon
 extrapolation over the bisection levels towards that end, as in QUADPACK's
 QAGS/QAGI; one that stalls inside the range stops unconverged (``_adaptive``).
-Oscillatory integrands are instead summed over caller-supplied sign-constant
-segments (half-periods), the same epsilon algorithm accelerating the
-alternating segment sums.
+Every integral over (a, inf) ends in one adaptive pass through that map, with
+no search for the support; oscillatory integrands may first be split at
+caller-supplied breakpoints (sign changes), the remainder beyond the last one
+mapped too.
 
 Tolerances are absolute.  Integrands are sampled only at interior points, but
 a caller's substitution may probe arguments that have underflowed to an
@@ -25,18 +26,15 @@ from __future__ import annotations
 
 import heapq
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (ConvergenceError, DecayWarning, DivergenceError,
-                     QuadratureDomainError)
+from .errors import ConvergenceError, DivergenceError, QuadratureDomainError
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BUDGET = 1_000_000
-_PROBE_START = 8.0  # first support cutoff tried by integrate_decaying_batch
 
 # Gauss-Kronrod (7,15) nodes on [-1,1]; Gauss nodes are the odd indices.
 _NODES = np.array([
@@ -335,16 +333,14 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
 def integrate_semi_infinite(f: Callable[[float], float], a: float = 0.0,
                             tol: float = DEFAULT_TOL,
                             budget: int = DEFAULT_BUDGET,
-                            breakpoints: Sequence[float] | None = None,
-                            alternating_tail: bool = False) -> QuadratureResult:
+                            breakpoints: Sequence[float] | None = None) -> QuadratureResult:
     """Integrate f over (a, inf).
 
-    Without ``breakpoints`` the range is mapped to (0,1) by y = a + t/(1-t).
-    For oscillatory integrands the caller supplies the sign-change abscissae as
-    ``breakpoints`` (ascending, > a); the segment integrals are then summed
-    directly, with the remainder handled by the mapped tail, or, when
-    ``alternating_tail`` is set, by extending the segment ladder at the last
-    spacing and extrapolating the alternating partial sums (wynn_epsilon).
+    The range beyond a (or beyond the last of the ``breakpoints``) is mapped
+    to (0,1) by y = a + t/(1-t).  For oscillatory integrands the caller may
+    supply the sign-change abscissae as ``breakpoints`` (ascending, > a); the
+    segment integrals between them are summed directly and the mapped tail
+    adds the remainder.
     """
     if not math.isfinite(a):
         raise ValueError("lower limit must be finite")
@@ -357,45 +353,23 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float = 0.0,
     pts = [a] + sorted(float(b) for b in breakpoints)
     if pts[1] <= a:
         raise ValueError("breakpoints must exceed the lower limit")
-    n_seg = len(pts) - 1
-    seg_tol = tol / (2.0 * n_seg)
+    seg_tol = tol / (2.0 * (len(pts) - 1))
     value = 0.0
     err = 0.0
     evals = 0
     ok = True
-    sums = []
     for lo, hi in zip(pts[:-1], pts[1:]):
         r = _adaptive(fv, lo, hi, seg_tol, budget - evals)
         value += float(r.values[0])
         err += float(r.errors[0])
         evals += r.evaluations
         ok = ok and r.converged
-        sums.append(float(r.values[0]))
-
-    if not alternating_tail:
-        r = _mapped_tail(fv, pts[-1], tol / 2.0, budget - evals)
-        value += float(r.values[0])
-        err += float(r.errors[0])
-        evals += r.evaluations
-        ok = ok and r.converged
-        return QuadratureResult(value, max(err, _ERR_FLOOR), evals, ok and err <= tol)
-
-    # Extend the ladder at the last spacing; the partial sums of the segment
-    # series (which include the pre-breakpoint head) alternate, so the epsilon
-    # algorithm estimates their limit.
-    spacing = pts[-1] - pts[-2]
-    partials = [math.fsum(sums)]
-    for k in range(4096):
-        lo = pts[-1] + k * spacing
-        r = _adaptive(fv, lo, lo + spacing, seg_tol, budget - evals)
-        evals += r.evaluations
-        err += float(r.errors[0])
-        partials.append(partials[-1] + float(r.values[0]))
-        value, tail_est = wynn_epsilon(partials)
-        if tail_est < tol / 2.0 or evals + 30 > budget:
-            break
-    err = max(err + tail_est, _ERR_FLOOR)
-    return QuadratureResult(value, err, evals, ok and err <= tol)
+    r = _mapped_tail(fv, pts[-1], tol / 2.0, budget - evals)
+    value += float(r.values[0])
+    err += float(r.errors[0])
+    evals += r.evaluations
+    ok = ok and r.converged
+    return QuadratureResult(value, max(err, _ERR_FLOOR), evals, ok and err <= tol)
 
 
 # -- batch API used by the operator kernels ----------------------------------
@@ -420,39 +394,14 @@ def integrate_semi_infinite_batch(f: Callable[[np.ndarray], np.ndarray],
 def integrate_decaying_batch(f: Callable[[np.ndarray], np.ndarray],
                              tol: float = DEFAULT_TOL,
                              budget: int = DEFAULT_BUDGET) -> BatchResult:
-    """Adaptive pass over (0, inf) for integrands that decay to zero.
+    """Mapped adaptive pass over (0, inf) at ``tol / 2``: the entry of the
+    operator kernels and of the residual pass.
 
-    The effective support is located by doubling a cutoff until probe samples
-    fall below a fraction of tolerance; the remainder beyond the cutoff is
-    still integrated through the rational map, so a misjudged cutoff costs
-    panels rather than correctness.
+    No cutoff is searched for: the rational map and the endpoint
+    extrapolation of ``_adaptive`` finish a decaying or algebraic tail, and a
+    non-decaying integrand stalls at t -> 1 and returns converged=False.
     """
-    cutoff = _PROBE_START
-    scale = 1.0
-    probes = 0
-    for _ in range(40):
-        xs = cutoff * np.array([0.7, 0.85, 1.0])
-        ys = np.asarray(f(xs), dtype=float)
-        probes += 3
-        _check_finite(xs, ys)
-        scale = max(scale, float(np.abs(ys).max()))
-        if float(np.abs(ys).max()) <= 1e-3 * tol * scale / max(1.0, cutoff):
-            break
-        cutoff *= 2.0
-    else:
-        warnings.warn(
-            "integrand not visibly decayed at the probe cap; tail handled by "
-            "the mapped panel only", DecayWarning, stacklevel=2,
-        )
-    # The probes are charged to the budget and the tail's first panel is kept.
-    body = _adaptive(f, 0.0, cutoff, tol * 0.5, budget - probes - 15)
-    tail = _mapped_tail(f, cutoff, tol * 0.5, budget - probes - body.evaluations)
-    return BatchResult(
-        body.values + tail.values,
-        body.errors + tail.errors,
-        body.evaluations + tail.evaluations + probes,
-        body.converged and tail.converged,
-    )
+    return _mapped_tail(f, 0.0, 0.5 * tol, budget)
 
 
 def _mapped_tail(fv, a: float, tol: float, budget: int) -> BatchResult:

@@ -103,7 +103,7 @@ FAMILIES: dict[Family, FamilyDef] = {
         ("f", "f_prime"),
         lambda spec, tol: solve_gaussian_dilation(spec.f, spec.f_prime, tol),
         lambda spec, ev, xs: lambda ys: ev(np.outer(np.exp(-ys * ys), xs)),
-        1e-6, "geom:0.1:5:25", positive=(), vanishes_at_zero=False, upper=None,
+        1e-6, "geom:0.1:5:25", positive=(), vanishes_at_zero=True, upper=None,
     ),
     Family.LAPLACE_DILATION: FamilyDef(
         ("f_series", "mu"),
@@ -142,7 +142,7 @@ class EquationSpec:
     """One equation instance: a family tag, its data f, and parameters.
 
     Construction checks the fields FAMILIES[family] requires and their
-    values (f(0) = 0 is probed as |f(1e-8)| < 1e-6).
+    values (f(0) = 0 is probed as |f(e^-700)| < 1e-6).
     """
 
     family: Family
@@ -201,7 +201,7 @@ class SolutionFn:
 
 
 def _check_vanishes_at_zero(f) -> None:
-    if abs(float(f(1e-8))) >= 1e-6:
+    if not fracops.value_near_zero(f, 1.0) < 1e-6:
         raise ValueError(
             "f(0) must vanish: the generator annihilates constants, so a "
             "constant component of f is unreachable"

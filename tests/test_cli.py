@@ -187,9 +187,13 @@ def test_bad_parametric_name():
     assert proc.returncode == 2
 
 
-def test_moebius_rejects_nonvanishing_data():
-    proc = run_cli("solve", "moebius", "--f", "exp-decay", "--a", "1",
-                   "--grid", "0.1:1:3")
+@pytest.mark.parametrize("argv", [
+    ("moebius", "--f", "exp-decay", "--a", "1", "--grid", "0.1:1:3"),
+    ("gaussian", "--f", "gauss", "--grid", "1:2:2"),
+], ids=["moebius", "gaussian"])
+def test_moebius_rejects_nonvanishing_data(argv):
+    # both generators annihilate constants: f(0) != 0 is refused
+    proc = run_cli("solve", *argv)
     assert proc.returncode == 1
     assert "vanish" in proc.stderr
 

@@ -11,13 +11,13 @@ from fracshift.fracops import (
     half_sqrt_xd,
     half_sqrt_xd_batch,
     log_map,
-    radial_map,
     reflected_radial_map,
     weyl_half_radial,
     weyl_half_radial_batch,
     xd_negpow,
     xd_negpow_batch,
 )
+from fracshift.solvers import EquationSpec, Family
 
 from conftest import simpson_decaying
 
@@ -41,7 +41,7 @@ def test_negpow_two_term_polynomial():
 
 
 @pytest.mark.parametrize("nu", [0.25, 1.5])
-@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("n", [0.1, 0.3, 1, 3, 6])
 def test_negpow_spectral_action(nu, n):
     x = 1.7
     val = xd_negpow(nu, lambda t, _n=n: t ** _n, x)
@@ -63,6 +63,18 @@ def test_negpow_vs_simpson():
 def test_negpow_rejects_constant_tail():
     with pytest.raises(DivergenceError):
         xd_negpow(0.5, lambda t: 1.0, 1.0)
+
+
+def test_zero_probe_refuses_nan():
+    # NaN next to 0 is no evidence that f vanishes there
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < 1e-100, np.nan, t)
+
+    with pytest.raises(DivergenceError):
+        xd_negpow(0.5, f, 1.0)
+    with pytest.raises(ValueError, match="vanish"):
+        EquationSpec(Family.GAUSSIAN_DILATION, f=f, f_prime=np.ones_like)
 
 
 def test_negpow_linearity():
@@ -118,7 +130,7 @@ def test_half_power_rejects_negative():
 # -- coordinate maps ---------------------------------------------------------
 
 def test_builtin_maps_validate():
-    for built in (log_map, radial_map, reflected_radial_map):
+    for built in (log_map, reflected_radial_map):
         m = built()
         m.validate()
 

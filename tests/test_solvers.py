@@ -49,11 +49,13 @@ def test_spec_moebius_needs_window():
         EquationSpec(Family.MOEBIUS, f=_identity, f_prime=_one)
 
 
-def test_spec_moebius_rejects_nonvanishing_data():
+@pytest.mark.parametrize("family", [Family.MOEBIUS, Family.GAUSSIAN_DILATION],
+                         ids=["moebius", "gaussian"])
+def test_spec_moebius_rejects_nonvanishing_data(family):
     f = lambda x: np.exp(-np.asarray(x, dtype=float))
     fp = lambda x: -np.exp(-np.asarray(x, dtype=float))
     with pytest.raises(ValueError, match="vanish"):
-        EquationSpec(Family.MOEBIUS, f=f, f_prime=fp, a=1.0)
+        EquationSpec(family, f=f, f_prime=fp, a=1.0)
 
 
 def test_spec_genshift_needs_map():
