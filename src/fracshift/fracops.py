@@ -190,12 +190,11 @@ def xd_negpow_batch(nu: float, f: Callable[[np.ndarray], np.ndarray],
     inv_nu = 1.0 / nu
     pref = math.exp(-math.lgamma(nu + 1.0))
 
-    def integrand(ts):
+    def integrand(ts, xs):
         damp = np.exp(-ts ** inv_nu)
         return pref * np.asarray(f(np.outer(damp, xs)), dtype=float)
 
-    res = integrate_decaying_batch(integrand, tol=tol, budget=budget)
-    return res
+    return integrate_decaying_batch(integrand, xs, tol=tol, budget=budget)
 
 
 def xd_negpow(nu: float, f: Callable[[float], float], x: float,
@@ -253,14 +252,13 @@ def weyl_half_radial_batch(f: Callable[[np.ndarray], np.ndarray],
     xs = np.asarray(xs, dtype=float)
     if (xs < 0.0).any():
         raise ValueError("arguments must be >= 0")
-    x2 = xs * xs
     pref = -2.0 * math.sqrt(2.0) / math.pi
 
-    def integrand(us):
+    def integrand(us, x2):
         args = x2[None, :] + (us * us)[:, None]
         return pref * np.asarray(f_prime(args), dtype=float) / np.sqrt(args)
 
-    return integrate_decaying_batch(integrand, tol=tol, budget=budget)
+    return integrate_decaying_batch(integrand, xs * xs, tol=tol, budget=budget)
 
 
 def weyl_half_radial(f: Callable[[float], float],
@@ -296,24 +294,23 @@ def generalized_half_batch(cmap: CoordinateMap,
         raise ValueError(f"arguments must lie in the domain [{lo}, {hi})")
     with np.errstate(divide="ignore"):
         ws = np.asarray(cmap.F(xs), dtype=float)
-    live = ws != -math.inf
-    if not live.all():
-        values = np.zeros_like(xs)
-        errors = np.full_like(xs, 1e-300)
-        if not live.any():
-            return BatchResult(values, errors, 0, True)
-        res = generalized_half_batch(cmap, f, f_prime, xs[live], tol, budget)
-        values[live] = res.values
-        errors[live] = res.errors
-        return BatchResult(values, errors, res.evaluations, res.converged)
 
-    def integrand(vs):
-        args = ws[None, :] - (vs * vs)[:, None]
-        xi = np.asarray(cmap.F_inv(args), dtype=float)
-        return _FOUR_OVER_PI * np.asarray(f_prime(xi), dtype=float) \
+    def integrand(vs, ws):
+        xi = np.asarray(cmap.F_inv(ws[None, :] - (vs * vs)[:, None]), dtype=float)
+        # A transported argument that has left (lo, hi), such as x e^-v^2
+        # underflowed to 0 on the log map (or F(x) = -inf at x = lo),
+        # contributes 0, as in the genshift residual; f' is not called there.
+        if xi.min() > lo and xi.max() < hi:  # False on NaN too
+            return _FOUR_OVER_PI * np.asarray(f_prime(xi), dtype=float) \
+                * np.asarray(cmap.q(xi), dtype=float)
+        inside = (xi > lo) & (xi < hi)
+        out = np.zeros_like(xi)
+        xi = xi[inside]
+        out[inside] = _FOUR_OVER_PI * np.asarray(f_prime(xi), dtype=float) \
             * np.asarray(cmap.q(xi), dtype=float)
+        return out
 
-    return integrate_decaying_batch(integrand, tol=tol, budget=budget)
+    return integrate_decaying_batch(integrand, ws, tol=tol, budget=budget)
 
 
 def generalized_half(cmap: CoordinateMap, f: Callable[[float], float],

@@ -55,9 +55,9 @@ class FamilyDef(NamedTuple):
 
     requires: tuple[str, ...]  # EquationSpec fields that must be set
     solve: Callable[[EquationSpec, float], SolutionFn]  # (spec, tol) -> u
-    # (spec, ev, xs) -> y -> LHS terms of shape (len(y), len(xs)), where
+    # (spec, ev) -> (y, xs) -> LHS terms of shape (len(y), len(xs)), where
     # ev(args) evaluates the candidate u on an array of any shape
-    integrand: Callable[[EquationSpec, Callable, np.ndarray], Callable]
+    integrand: Callable[[EquationSpec, Callable], Callable]
     bound: float  # residual acceptance bound of `fracshift verify`
     grid: str  # default grid of `fracshift verify`
     positive: tuple[str, ...]  # required fields that must be > 0
@@ -65,8 +65,8 @@ class FamilyDef(NamedTuple):
     upper: str | None  # field a of the range (0, a); None: (0, inf)
 
 
-def _laplace_integrand(spec, ev, xs):
-    def integrand(ys):
+def _laplace_integrand(spec, ev):
+    def integrand(ys, xs):
         out = np.zeros((len(ys), len(xs)))
         ok = ys < _EXP_UNDERFLOW
         if ok.any():
@@ -76,12 +76,12 @@ def _laplace_integrand(spec, ev, xs):
     return integrand
 
 
-def _genshift_integrand(spec, ev, xs):
+def _genshift_integrand(spec, ev):
     cmap = spec.cmap
     lo, hi = cmap.domain
-    ws = np.asarray(cmap.F(xs), dtype=float)
 
-    def integrand(ys):
+    def integrand(ys, xs):
+        ws = np.asarray(cmap.F(xs), dtype=float)
         with np.errstate(all="ignore"):
             args = np.asarray(
                 cmap.F_inv(ws[None, :] - (ys * ys)[:, None]), dtype=float
@@ -102,7 +102,7 @@ FAMILIES: dict[Family, FamilyDef] = {
     Family.GAUSSIAN_DILATION: FamilyDef(
         ("f", "f_prime"),
         lambda spec, tol: solve_gaussian_dilation(spec.f, spec.f_prime, tol),
-        lambda spec, ev, xs: lambda ys: ev(np.outer(np.exp(-ys * ys), xs)),
+        lambda spec, ev: lambda ys, xs: ev(np.outer(np.exp(-ys * ys), xs)),
         1e-6, "geom:0.1:5:25", positive=(), vanishes_at_zero=True, upper=None,
     ),
     Family.LAPLACE_DILATION: FamilyDef(
@@ -115,7 +115,7 @@ FAMILIES: dict[Family, FamilyDef] = {
     Family.RADIAL: FamilyDef(
         ("f", "f_prime"),
         lambda spec, tol: solve_radial(spec.f, spec.f_prime, tol),
-        lambda spec, ev, xs: lambda ys: ev(
+        lambda spec, ev: lambda ys, xs: ev(
             np.sqrt(xs[None, :] ** 2 + 2.0 * ys[:, None] ** 2)),
         1e-6, "0:3:13", positive=(), vanishes_at_zero=False, upper=None,
     ),
@@ -129,7 +129,7 @@ FAMILIES: dict[Family, FamilyDef] = {
     Family.MOEBIUS: FamilyDef(
         ("f", "f_prime", "a"),
         lambda spec, tol: solve_moebius(spec.f, spec.f_prime, spec.a, tol),
-        lambda spec, ev, xs: lambda ys: ev(
+        lambda spec, ev: lambda ys, xs: ev(
             xs[None, :] / (1.0 + np.outer(ys, xs))),
         1e-5, "geom:0.1:3:15", positive=("a",), vanishes_at_zero=True,
         upper="a",

@@ -117,10 +117,10 @@ def _lhs_pass(spec: EquationSpec, u, xs: np.ndarray, tol: float,
               budget: int):
     """One adaptive pass computing the family LHS at every grid point."""
     fam = FAMILIES[spec.family]
-    integrand = fam.integrand(spec, _evaluator(u), xs)
+    integrand = fam.integrand(spec, _evaluator(u))
     if fam.upper is None:
-        return integrate_decaying_batch(integrand, tol=tol, budget=budget)
-    return integrate_finite_batch(integrand, 0.0, getattr(spec, fam.upper),
+        return integrate_decaying_batch(integrand, xs, tol=tol, budget=budget)
+    return integrate_finite_batch(integrand, xs, 0.0, getattr(spec, fam.upper),
                                   tol=tol, budget=budget)
 
 

@@ -108,6 +108,14 @@ def test_half_power_linear():
         2.0 / math.sqrt(math.pi), rel=1e-9)
 
 
+@pytest.mark.parametrize("x", [1.0, 3.0])
+def test_half_power_sqrt_tail_underflow(x):
+    # f = sqrt(x): the mapped tail reaches x e^-v^2 == 0.0, where f' is
+    # infinite; an argument that has left (0, inf) contributes 0
+    val = half_sqrt_xd(lambda t: 0.5 * t ** -0.5, x)
+    assert abs(val - (2.0 / math.sqrt(math.pi)) * math.sqrt(0.5 * x)) <= 1e-15
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_half_power_monomials(n):
     x = 1.2
@@ -254,12 +262,15 @@ def test_generalized_reflected_map_takes_lower_end():
 
 
 def test_generalized_log_map_is_zero_at_lower_end():
-    # F(0) = -inf: the value is 0 and f' never sees the x = 0 point
+    # F(0) = -inf: the value is 0 and f' never sees the x = 0 point; the
+    # x = 1 column's nodes that underflow to 0 are masked out of the 1-d calls
     shapes = []
+    zeros = []
 
     def fp(t):
         t = np.asarray(t, dtype=float)
         shapes.append(t.shape)
+        zeros.append(int(np.count_nonzero(t == 0.0)))
         return 3.0 * t ** 2
 
     res = generalized_half_batch(log_map(), lambda t: np.asarray(t) ** 3, fp,
@@ -268,7 +279,8 @@ def test_generalized_log_map_is_zero_at_lower_end():
     assert res.values[0] == 0.0
     assert res.values[1] == pytest.approx(
         (2.0 / math.sqrt(math.pi)) * math.sqrt(3.0), rel=1e-9)
-    assert shapes and all(s[1:] == (1,) for s in shapes)
+    assert shapes and all(s[1:] in ((1,), ()) for s in shapes)
+    assert sum(zeros) == 0
 
 
 def test_generalized_rejects_point_outside_domain():
