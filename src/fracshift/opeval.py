@@ -32,13 +32,16 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
+
+from . import quadrature
 from .errors import (
     ConvergenceError,
     DivergenceError,
     PrecisionWarning,
     SeriesOverflowError,
 )
-from .quadrature import QuadratureResult, integrate_semi_infinite
+from .quadrature import QuadratureResult, elementwise, integrate_semi_infinite
 from .series import (
     CANCELLATION_GATE,
     PowerSeries,
@@ -52,6 +55,8 @@ _SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
 _F_TERM_CAP = 400
 _SERIES_X_LIMIT = 10.0
 _TINY = 1e-300
+_PROBE_OFFSETS = (0.25, 1.0, 2.5)  # probe exponents above the floor
+_PROBE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,8 @@ class MultiplierIntegral:
     When ``g_direct`` is supplied, construction cross-checks O against direct
     quadrature at three probe exponents above the floor (1e-7 agreement) and
     refuses the instance otherwise (ConvergenceError if a probe does not
-    converge).
+    converge).  The three probes are the columns of one batch pass, so
+    ``g_direct`` is called once per node, not once per node and exponent.
     """
 
     O: Callable[[float], float]
@@ -71,18 +77,20 @@ class MultiplierIntegral:
     def __post_init__(self):
         if self.g_direct is None:
             return
-        for mu in (self.domain_floor + 0.25, self.domain_floor + 1.0,
-                   self.domain_floor + 2.5):
+        mus = [self.domain_floor + d for d in _PROBE_OFFSETS]
+        g = elementwise(self.g_direct)
+        oracle = quadrature.integrate_semi_infinite_batch(
+            lambda ts, mu: g(ts)[:, None] ** mu, np.array(mus), 0.0, _PROBE_TOL)
+        if not oracle.converged:
+            i = int(np.argmax(oracle.errors > _PROBE_TOL))
+            raise ConvergenceError(f"moment probe at mu={mus[i]} did not converge "
+                                   f"(error estimate {oracle.errors[i]:.3g})")
+        for mu, value in zip(mus, oracle.values.tolist()):
             claimed = float(self.O(mu))
-            g = self.g_direct
-            oracle = integrate_semi_infinite(lambda t: g(t) ** mu, 0.0, 1e-9)
-            if not oracle.converged:
-                raise ConvergenceError(f"moment probe at mu={mu} did not converge "
-                                       f"(error estimate {oracle.abs_error_estimate:.3g})")
-            if abs(claimed - oracle.value) > 1e-7:
+            if abs(claimed - value) > 1e-7:
                 raise ValueError(
                     f"moment function disagrees with quadrature at mu={mu}: "
-                    f"{claimed!r} vs {oracle.value!r}"
+                    f"{claimed!r} vs {value!r}"
                 )
 
 

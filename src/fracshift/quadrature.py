@@ -11,11 +11,14 @@ no search for the support; oscillatory integrands may first be split at
 caller-supplied breakpoints (sign changes), the remainder beyond the last one
 mapped too.
 
-Tolerances are absolute.  Integrands are sampled only at interior points (a
-panel whose halves would put a node on an end of the range is frozen instead
-of bisected), but a caller's substitution may probe arguments that have
-underflowed to an endpoint value (for example x*exp(-s) == 0.0 for huge s);
-integrands must tolerate that.
+Tolerances are absolute, with one floor: a column is done once its error is
+within ``_REL_FLOOR`` = 100 eps of its value, twice the rounding floor of a
+panel, so a large integral stops at rounding instead of spending the budget.
+Integrands are sampled only at interior points (a panel whose halves would
+put a node on an end of the range is frozen instead of bisected), but a
+caller's substitution may probe arguments that have underflowed to an
+endpoint value (for example x*exp(-s) == 0.0 for huge s); integrands must
+tolerate that.
 
 Every routine exists in a scalar form (the public contract) and a batch form
 used by the operator kernels.  A batch integrand is parametric: f(t, cols)
@@ -66,6 +69,12 @@ _WG = np.array([
 _DIVERGENCE_BOUND = 1e100
 _ERR_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
+# A panel's error estimate is at least _PANEL_FLOOR times the integral of |f|
+# over it (QUADPACK's rounding floor), and a column is done once its summed
+# error is at most max(goal, _REL_FLOOR * |value|): twice that floor, which
+# a sum of one-signed panels at their floors stays under.
+_PANEL_FLOOR = 50.0 * _EPS
+_REL_FLOOR = 2.0 * _PANEL_FLOOR
 # A column whose summed error is at most _RETIRE times the goal leaves the
 # pass.  Retired columns keep errors near this bound where the shared pass
 # would have refined them further: at a tenth the residuals of the laplace
@@ -175,10 +184,22 @@ def _eval_panel(fv, cols: np.ndarray, lo: float, hi: float) -> _Panel:
             resasc * np.minimum(1.0, (200.0 * raw / np.where(pos, resasc, 1.0)) ** 1.5),
             raw,
         )
-    err = np.maximum(scaled, 50.0 * _EPS * resabs)
+    err = np.maximum(scaled, _PANEL_FLOOR * resabs)
     if ys.ndim == 1:  # one column given as values of shape (15,)
         ik, err = np.atleast_1d(ik), np.atleast_1d(err)
     return _Panel(lo, hi, ik, err)
+
+
+def _settled(err: np.ndarray, value: np.ndarray, goal: float,
+             vmax: float = math.inf) -> bool:
+    """Whether every column's error is at most max(goal, _REL_FLOOR |value|);
+    a bound vmax >= max |value| lets the usual case skip the column test."""
+    emax = float(err.max())
+    if emax <= goal:
+        return True
+    if emax > _REL_FLOOR * vmax:
+        return False
+    return bool(np.all(err <= np.maximum(goal, _REL_FLOOR * np.abs(value))))
 
 
 def _reaches_end(lo: float, hi: float, a: float, b: float) -> bool:
@@ -198,7 +219,8 @@ def _reaches_end(lo: float, hi: float, a: float, b: float) -> bool:
 def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
               budget: int) -> BatchResult:
     """Drive every column of the parametric integrand ``fv(t, cols)`` on
-    (a, b) below ``tol``.
+    (a, b) below ``tol``, or below the rounding floor ``_REL_FLOOR * |value|``
+    of a column whose integral is large (``_settled``).
 
     Refinement always bisects the panel whose worst column error is
     largest.  Before each bisection, columns whose summed error is at most
@@ -232,6 +254,7 @@ def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
     seq = 1
     value = p.ik.copy()
     err = p.err.copy()
+    vmax = float(np.abs(value).max())
     frozen: list[_Panel] = []
     ferr = np.zeros_like(err)  # error of the panels in ``frozen``
     stalled: dict[float, int] = {}  # stalled end -> level of its neighbourhood
@@ -239,7 +262,7 @@ def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
     goal = tol
     roundoff = 0
 
-    while float(err.max()) > goal:
+    while not _settled(err, value, goal, vmax):
         if evals + 30 > budget or not heap:
             break
         if len(live) > 1 and not stalled and float(err.min()) <= _RETIRE * goal:
@@ -303,7 +326,8 @@ def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
                 roundoff += 1
                 if roundoff == 10:
                     break  # rounding, not the integrand, limits the error
-        if float(np.abs(value).max()) > _DIVERGENCE_BOUND:
+        vmax = float(np.abs(value).max())
+        if vmax > _DIVERGENCE_BOUND:
             raise DivergenceError(
                 "partial sums exceeded bound; integral appears divergent"
             )
@@ -316,15 +340,15 @@ def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
         limits = np.array([wynn_epsilon(s) for s in sums.T])
         errors = whole(limits[:, 1] + np.sum(np.stack([p.err for p in panels]),
                                              axis=0), banked[1])
-        if float(errors.max()) <= tol:
-            return BatchResult(whole(limits[:, 0], banked[0]), errors, evals, True)
+        values = whole(limits[:, 0], banked[0])
+        if _settled(errors, values, tol):
+            return BatchResult(values, errors, evals, True)
     panels += aside
     value = whole(np.sum(np.stack([p.ik for p in panels]), axis=0), banked[0])
     err_final = np.maximum(
         whole(np.sum(np.stack([p.err for p in panels]), axis=0), banked[1]),
         _ERR_FLOOR)
-    return BatchResult(value, err_final, evals,
-                       bool(float(err_final.max()) <= tol))
+    return BatchResult(value, err_final, evals, _settled(err_final, value, tol))
 
 
 def _level_sums(panels: list[_Panel], stalled: dict[float, int], a: float,
@@ -333,7 +357,10 @@ def _level_sums(panels: list[_Panel], stalled: dict[float, int], a: float,
     ``panels`` outside the neighbourhoods of width (b-a) 2^-k of the stalled
     ends (bisection is dyadic, so no panel straddles one).  None unless the
     level differences shrink by _RATIO over the last _LEVELS levels, since a
-    divergent S_k has an epsilon-algorithm antilimit too."""
+    divergent S_k has an epsilon-algorithm antilimit too.  The test is per
+    column, and a difference at the panel rounding floor (_PANEL_FLOOR
+    |S_k|) counts as shrinking, so a column that has already settled does
+    not block the extrapolation of the others."""
     depth = min(stalled.values())
     if depth <= _LEVELS:
         return None
@@ -341,8 +368,11 @@ def _level_sums(panels: list[_Panel], stalled: dict[float, int], a: float,
     dist = np.min([np.abs(mids - end) for end in stalled], axis=0) / (b - a)
     outside = dist > 0.5 ** np.arange(1, depth + 1)[:, None]
     sums = outside.astype(float) @ np.stack([p.ik for p in panels])
-    steps = np.abs(np.diff(sums[-_LEVELS - 1:], axis=0))
-    return sums if np.all(steps[1:] <= _RATIO * steps[:-1]) else None
+    last = sums[-_LEVELS - 1:]
+    steps = np.abs(np.diff(last, axis=0))
+    shrinks = (steps[1:] <= _RATIO * steps[:-1]) | \
+        (steps[1:] <= _PANEL_FLOOR * np.abs(last[2:]))
+    return sums if np.all(shrinks) else None
 
 
 def wynn_epsilon(partial_sums: Sequence[float]) -> tuple[float, float]:

@@ -61,7 +61,7 @@ class FamilyDef(NamedTuple):
     bound: float  # residual acceptance bound of `fracshift verify`
     grid: str  # default grid of `fracshift verify`
     positive: tuple[str, ...]  # required fields that must be > 0
-    vanishes_at_zero: bool  # f(0) = 0 is required
+    vanishes_at_zero: Callable[[EquationSpec], bool]  # f(0) = 0 is required
     upper: str | None  # field a of the range (0, a); None: (0, inf)
 
 
@@ -74,6 +74,29 @@ def _laplace_integrand(spec, ev):
             out[ok] = np.exp(-yy)[:, None] * ev(np.outer(yy ** spec.mu, xs))
         return out
     return integrand
+
+
+def _always(spec) -> bool:
+    return True
+
+
+def _never(spec) -> bool:
+    return False
+
+
+def _map_descends_at_zero(spec) -> bool:
+    """Whether the map's F is -inf at its lower domain end 0 (the log map):
+    the descending kernel integrates f' towards that end, so it annihilates
+    f(0), and f(0) = 0 is required.  Where F(0) is finite (reflected radial
+    map) the kernel descends towards the other end."""
+    cmap = spec.cmap
+    if cmap.domain[0] != 0.0:
+        return False
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(cmap.F(0.0)) == -np.inf
+    except (ArithmeticError, ValueError):  # a scalar F undefined at 0
+        return False
 
 
 def _genshift_integrand(spec, ev):
@@ -103,13 +126,14 @@ FAMILIES: dict[Family, FamilyDef] = {
         ("f", "f_prime"),
         lambda spec, tol: solve_gaussian_dilation(spec.f, spec.f_prime, tol),
         lambda spec, ev: lambda ys, xs: ev(np.outer(np.exp(-ys * ys), xs)),
-        1e-6, "geom:0.1:5:25", positive=(), vanishes_at_zero=True, upper=None,
+        1e-6, "geom:0.1:5:25", positive=(), vanishes_at_zero=_always,
+        upper=None,
     ),
     Family.LAPLACE_DILATION: FamilyDef(
         ("f_series", "mu"),
         lambda spec, tol: solve_laplace_dilation(spec.f_series, spec.mu),
         _laplace_integrand,
-        1e-7, "geom:0.1:3:15", positive=("mu",), vanishes_at_zero=False,
+        1e-7, "geom:0.1:3:15", positive=("mu",), vanishes_at_zero=_never,
         upper=None,
     ),
     Family.RADIAL: FamilyDef(
@@ -117,21 +141,22 @@ FAMILIES: dict[Family, FamilyDef] = {
         lambda spec, tol: solve_radial(spec.f, spec.f_prime, tol),
         lambda spec, ev: lambda ys, xs: ev(
             np.sqrt(xs[None, :] ** 2 + 2.0 * ys[:, None] ** 2)),
-        1e-6, "0:3:13", positive=(), vanishes_at_zero=False, upper=None,
+        1e-6, "0:3:13", positive=(), vanishes_at_zero=_never, upper=None,
     ),
     Family.GENERALIZED_SHIFT: FamilyDef(
         ("f", "f_prime", "cmap"),
         lambda spec, tol: solve_generalized_shift(spec.cmap, spec.f,
                                                   spec.f_prime, tol),
         _genshift_integrand,
-        1e-6, "geom:0.1:5:25", positive=(), vanishes_at_zero=False, upper=None,
+        1e-6, "geom:0.1:5:25", positive=(),
+        vanishes_at_zero=_map_descends_at_zero, upper=None,
     ),
     Family.MOEBIUS: FamilyDef(
         ("f", "f_prime", "a"),
         lambda spec, tol: solve_moebius(spec.f, spec.f_prime, spec.a, tol),
         lambda spec, ev: lambda ys, xs: ev(
             xs[None, :] / (1.0 + np.outer(ys, xs))),
-        1e-5, "geom:0.1:3:15", positive=("a",), vanishes_at_zero=True,
+        1e-5, "geom:0.1:3:15", positive=("a",), vanishes_at_zero=_always,
         upper="a",
     ),
 }
@@ -162,7 +187,7 @@ class EquationSpec:
         for key in fam.positive:
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"{name} family needs {key} > 0")
-        if fam.vanishes_at_zero:
+        if fam.vanishes_at_zero(self):
             _check_vanishes_at_zero(self.f)
 
     def rhs(self, x: float) -> float:
@@ -255,13 +280,18 @@ def solve_laplace_dilation(f_series: PowerSeries, mu: float) -> SolutionFn:
 
 
 def solve_radial(f, f_prime, tol: float = DEFAULT_TOL) -> SolutionFn:
-    """u = -(2/sqrt(pi)) sqrt(-(1/x) d/dx) f via the ascending half kernel."""
+    """u = -(2/sqrt(pi)) sqrt(-(1/x) d/dx) f via the ascending half kernel.
+
+    The decay probe of ``weyl_half_radial_batch`` runs once, here; the
+    handle applies the half-power kernel on the reflected radial map."""
     fv = vectorized(f)
     fp = vectorized(f_prime)
+    fracops._probe_decay(fv, tol)
     return _kernel_handle(
         Family.RADIAL, "ascending half power in w = x^2/2",
         "radial half kernel",
-        lambda xs: fracops.weyl_half_radial_batch(fv, fp, xs, tol), tol)
+        lambda xs: fracops.generalized_half_batch(
+            fracops._REFLECTED_RADIAL_MAP, fv, fp, xs, tol), tol)
 
 
 def solve_generalized_shift(cmap: CoordinateMap, f, f_prime,
@@ -282,6 +312,39 @@ _K_START = 64
 _K_CAP = 100_000
 
 
+class _ShiftTerms:
+    """Terms h(x_k) = x_k^2 f'(x_k), x_k = x/(1 + k a x), k = 0, 1, ..., of
+    the moebius shift series at the arguments ``xs`` > 0.  Each term is
+    computed once: a larger cutoff evaluates f' on the new rows only."""
+
+    def __init__(self, f, f_prime, a: float, xs: np.ndarray):
+        self.f, self.f_prime, self.a = f, f_prime, a
+        self.xs = np.asarray(xs, dtype=float)
+        self.live = self.xs > 0.0
+        self.xl = self.xs[self.live]
+        self.h = np.empty((0, len(self.xl)))
+
+    def _args(self, k0: int, k1: int) -> np.ndarray:
+        """Rows x_k, k0 <= k < k1."""
+        ks = np.arange(k0, k1, dtype=float)
+        return self.xl[None, :] / (1.0 + self.a * np.outer(ks, self.xl))
+
+    def partial_sum(self, K: int) -> np.ndarray:
+        """u_K at ``xs``, 0 where x = 0 (see moebius_partial_sum)."""
+        out = np.zeros_like(self.xs)
+        if not self.live.any():
+            return out
+        if len(self.h) < K + 3:
+            xk = self._args(len(self.h), K + 3)
+            self.h = np.concatenate(
+                [self.h, xk * xk * np.asarray(self.f_prime(xk), dtype=float)])
+        h = self.h
+        tail = np.asarray(self.f(self._args(K + 1, K + 2)[0]), dtype=float) \
+            / self.a + 0.5 * h[K + 1] - (h[K + 2] - h[K]) / 24.0
+        out[self.live] = h[: K + 1].sum(axis=0) + tail
+        return out
+
+
 def moebius_partial_sum(f, f_prime, a: float, xs: np.ndarray,
                         K: int) -> np.ndarray:
     """Shift-series value truncated at k = K, with the integral tail folded in
@@ -291,22 +354,11 @@ def moebius_partial_sum(f, f_prime, a: float, xs: np.ndarray,
     x_k = x/(1 + k a x).  The tail T is the Euler-Maclaurin closure of the
     remainder: its integral part telescopes exactly to f(x_{K+1})/a, and the
     first correction terms use a central difference for h'.  The leftover is
-    O(K^-5), so doubling K is a sharp convergence check.
+    O(K^-5), so doubling K is a sharp convergence check.  ``solve_moebius``
+    doubles K on one ``_ShiftTerms``, so the rows k <= K+2 of one partial
+    sum serve the next, with values equal to this function's bit for bit.
     """
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros_like(xs)
-    live = xs > 0.0
-    if not live.any():
-        return out
-    xl = xs[live]
-    ks = np.arange(K + 3, dtype=float)
-    xk = xl[None, :] / (1.0 + a * np.outer(ks, xl))
-    g = xk * xk * np.asarray(f_prime(xk), dtype=float)
-    head = g[: K + 1].sum(axis=0)
-    tail = np.asarray(f(xk[K + 1]), dtype=float) / a + 0.5 * g[K + 1] \
-        - (g[K + 2] - g[K]) / 24.0
-    out[live] = head + tail
-    return out
+    return _ShiftTerms(f, f_prime, a, xs).partial_sum(K)
 
 
 def solve_moebius(f, f_prime, a: float, tol: float = DEFAULT_TOL) -> SolutionFn:
@@ -319,11 +371,12 @@ def solve_moebius(f, f_prime, a: float, tol: float = DEFAULT_TOL) -> SolutionFn:
     fp = vectorized(f_prime)
 
     def converge(xs: np.ndarray):
+        terms = _ShiftTerms(fv, fp, a, xs)
         K = _K_START
-        prev = moebius_partial_sum(fv, fp, a, xs, K)
+        prev = terms.partial_sum(K)
         while True:
             K2 = 2 * K
-            cur = moebius_partial_sum(fv, fp, a, xs, K2)
+            cur = terms.partial_sum(K2)
             diff = float(np.max(np.abs(cur - prev)))
             if diff <= tol:
                 return cur, K, diff

@@ -190,9 +190,10 @@ def test_bad_parametric_name():
 @pytest.mark.parametrize("argv", [
     ("moebius", "--f", "exp-decay", "--a", "1", "--grid", "0.1:1:3"),
     ("gaussian", "--f", "gauss", "--grid", "1:2:2"),
-], ids=["moebius", "gaussian"])
+    ("genshift", "--f", "gauss", "--map", "log", "--grid", "1:2:2"),
+], ids=["moebius", "gaussian", "genshift-log"])
 def test_moebius_rejects_nonvanishing_data(argv):
-    # both generators annihilate constants: f(0) != 0 is refused
+    # each generator annihilates constants: f(0) != 0 is refused
     proc = run_cli("solve", *argv)
     assert proc.returncode == 1
     assert "vanish" in proc.stderr

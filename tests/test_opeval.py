@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fracshift.errors import ConvergenceError, DivergenceError, SeriesOverflowError
@@ -13,7 +14,7 @@ from fracshift.opeval import (
     eval_I,
     eval_I_quadrature,
 )
-from fracshift.quadrature import QuadratureResult
+from fracshift.quadrature import BatchResult, QuadratureResult, integrate_semi_infinite
 from fracshift.series import PowerSeries
 from fracshift.specfun import gamma_ratio
 
@@ -127,12 +128,42 @@ def test_multiplier_integral_probe_rejects_wrong_moments():
 
 def test_multiplier_integral_probe_refuses_unconverged_oracle(monkeypatch):
     # an unconverged probe proves nothing, even when its value agrees
-    def unconverged(f, a, tol):
-        return QuadratureResult(_moment(0.75), 0.05, 999975, False)
+    def unconverged(f, mus, a, tol):
+        return BatchResult(np.array([_moment(mu) for mu in mus]),
+                           np.full(len(mus), 0.05), 999975, False)
 
-    monkeypatch.setattr("fracshift.opeval.integrate_semi_infinite", unconverged)
+    monkeypatch.setattr("fracshift.quadrature.integrate_semi_infinite_batch",
+                        unconverged)
     with pytest.raises(ConvergenceError, match="mu=0.75"):
         MultiplierIntegral(_moment, 0.5, lambda y: 1.0 / (1.0 + y * y))
+
+
+_KERNELS = {
+    "gauss": (lambda y: math.exp(-y * y), lambda mu: 0.5 * math.sqrt(math.pi / mu)),
+    "lorentz": (lambda y: 1.0 / (1.0 + y * y), _moment),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_multiplier_integral_probes_share_one_pass(name):
+    # the three probe exponents are columns of one pass: g is called at
+    # fewer points than three separate passes call it
+    g, moment = _KERNELS[name]
+    points = [0]
+
+    def counted(y):
+        points[0] += 1
+        return g(y)
+
+    MultiplierIntegral(moment, 0.5, counted)
+    shared = points[0]
+    points[0] = 0
+    for mu in (0.75, 1.5, 3.0):
+        res = integrate_semi_infinite(lambda y: counted(y) ** mu, 0.0, 1e-9)
+        assert res.converged
+    assert shared < points[0]
+    with pytest.raises(ValueError, match="disagrees"):
+        MultiplierIntegral(lambda mu: moment(mu) * (1.0 + 1e-6), 0.5, g)
 
 
 def test_eval_G_linear_data():

@@ -143,6 +143,30 @@ def test_upper_end_singularity_away_from_one(b):
     assert abs(res.value - 2.0 * math.sqrt(b)) <= tol
 
 
+def test_mixed_tail_columns_extrapolate_together():
+    # an algebraic-tail column and a fast-decaying one share the stalled
+    # pass; the settled fast column does not block the extrapolation
+    ps = np.array([0.55, 2.0])
+    tol = 1e-9
+    res = integrate_decaying_batch(
+        lambda y, p: (1.0 + y[:, None] ** 2) ** -p[None, :], ps, tol=tol)
+    assert res.converged
+    exact = np.array([_algebraic_moment(p) for p in ps])
+    assert np.all(np.abs(res.values - exact) <= tol)
+
+
+def test_large_integral_stops_at_rounding():
+    # about 1.08e5: its rounding floor is above the absolute tol, so the
+    # pass accepts an error within 100 eps of the value instead of
+    # spending the budget
+    k, a, b = 3.39, 0.84, 3.78
+    exact = (math.exp(k * b) - math.exp(k * a)) / k
+    res = integrate_finite(lambda x: math.exp(k * x), a, b)
+    assert res.converged
+    assert res.evaluations < 1_000
+    assert abs(res.value - exact) <= 100.0 * np.finfo(float).eps * exact
+
+
 AMPLITUDES = np.array([1.0, 1e-6, 1e-12])
 RUNGE_EXACT = 0.4 * math.atan(5.0)  # int_-1^1 dx / (1 + 25 x^2)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fracshift.errors import PrecisionWarning
-from fracshift.fracops import log_map
+from fracshift.fracops import log_map, reflected_radial_map
 from fracshift.series import PowerSeries, evaluate, from_coefficient_rule
 from fracshift.solvers import (
     FAMILIES,
@@ -49,13 +49,23 @@ def test_spec_moebius_needs_window():
         EquationSpec(Family.MOEBIUS, f=_identity, f_prime=_one)
 
 
-@pytest.mark.parametrize("family", [Family.MOEBIUS, Family.GAUSSIAN_DILATION],
-                         ids=["moebius", "gaussian"])
+@pytest.mark.parametrize("family", [Family.MOEBIUS, Family.GAUSSIAN_DILATION,
+                                    Family.GENERALIZED_SHIFT],
+                         ids=["moebius", "gaussian", "genshift-log"])
 def test_spec_moebius_rejects_nonvanishing_data(family):
     f = lambda x: np.exp(-np.asarray(x, dtype=float))
     fp = lambda x: -np.exp(-np.asarray(x, dtype=float))
     with pytest.raises(ValueError, match="vanish"):
-        EquationSpec(family, f=f, f_prime=fp, a=1.0)
+        EquationSpec(family, f=f, f_prime=fp, a=1.0, cmap=log_map())
+
+
+def test_spec_genshift_checks_the_descending_end():
+    # on the reflected radial map F(0) = 0 is finite and the kernel descends
+    # towards x -> inf, so data with f(0) != 0 stays admissible
+    f = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
+    fp = lambda x: -2.0 * np.asarray(x, dtype=float) * f(x)
+    EquationSpec(Family.GENERALIZED_SHIFT, f=f, f_prime=fp,
+                 cmap=reflected_radial_map())
 
 
 def test_spec_genshift_needs_map():
@@ -214,6 +224,25 @@ def test_radial_recovers_gaussian(beta):
         assert u(x) == pytest.approx(math.exp(-beta * x * x), abs=1e-9)
 
 
+def test_radial_evaluation_makes_no_probe_calls():
+    # the decay probe runs once, in solve_radial; eval_batch calls f' only
+    calls = []
+
+    def f(x):
+        calls.append("f")
+        return np.exp(-np.asarray(x, dtype=float) ** 2)
+
+    def fp(x):
+        calls.append("fp")
+        return -2.0 * np.asarray(x, dtype=float) * np.exp(-np.asarray(x, dtype=float) ** 2)
+
+    u = solve_radial(f, fp)
+    assert calls.count("f") == 2  # the array probe and the decay probe
+    calls.clear()
+    u.eval_batch(np.array([0.5, 1.0]))
+    assert "f" not in calls
+
+
 # -- moebius ------------------------------------------------------------------
 
 def test_moebius_linear_data_gives_zeta_two():
@@ -261,6 +290,21 @@ def test_moebius_evaluation_makes_no_probe_calls():
     u(2.0)
     probes = [c for c in calls if np.array_equal(c, [0.5, 1.5])]
     assert (len(calls), len(probes)) == (4, 0)
+
+
+def test_moebius_evaluates_each_row_once():
+    # the doubling K -> 2K reuses the rows k <= K+2: at x = 2 the pass
+    # settles at K = 64, so f' sees the rows k = 0 .. 2K+2 once each
+    points = []
+
+    def fp(x):
+        points.append(np.size(x))
+        return 2.0 * np.asarray(x, dtype=float)
+
+    u = solve_moebius(lambda x: np.asarray(x, dtype=float) ** 2, fp, 1.0)
+    points.clear()
+    u(2.0)
+    assert sum(points) == 2 * 64 + 3
 
 
 def test_moebius_vanishes_at_origin():
