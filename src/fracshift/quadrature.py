@@ -150,21 +150,9 @@ def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
         raise QuadratureDomainError(float(xs[idx]))
 
 
-class _Panel:
-    __slots__ = ("lo", "hi", "ik", "err")
-
-    def __init__(self, lo, hi, ik, err):
-        self.lo = lo
-        self.hi = hi
-        self.ik = ik
-        self.err = err
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-
-def _eval_panel(fv, cols: np.ndarray, lo: float, hi: float) -> _Panel:
+def _eval_panel(fv, cols: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The rows of the panel (lo, hi): its Kronrod value and its error
+    estimate, one entry per column."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     xs = mid + half * _NODES
@@ -185,9 +173,13 @@ def _eval_panel(fv, cols: np.ndarray, lo: float, hi: float) -> _Panel:
             raw,
         )
     err = np.maximum(scaled, _PANEL_FLOOR * resabs)
-    if ys.ndim == 1:  # one column given as values of shape (15,)
-        ik, err = np.atleast_1d(ik), np.atleast_1d(err)
-    return _Panel(lo, hi, ik, err)
+    return np.array([ik, err]).reshape(2, -1)  # one column may come as (15,)
+
+
+def _mids(ends: list[tuple[float, float]], idx) -> np.ndarray:
+    """Midpoints of the panels numbered ``idx``."""
+    lohi = np.array([ends[r] for r in idx]).reshape(-1, 2)
+    return 0.5 * (lohi[:, 0] + lohi[:, 1])
 
 
 def _settled(err: np.ndarray, value: np.ndarray, goal: float,
@@ -222,111 +214,108 @@ def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
     (a, b) below ``tol``, or below the rounding floor ``_REL_FLOOR * |value|``
     of a column whose integral is large (``_settled``).
 
-    Refinement always bisects the panel whose worst column error is
-    largest.  Before each bisection, columns whose summed error is at most
-    ``_RETIRE * tol`` retire: their sums over the panels are banked and their
-    entries dropped from every panel, so panels, heap keys and level sums
-    hold the live columns only, and ``fv`` is called on those.  A panel too
-    narrow to bisect, or one whose halves would have a node on a or b, is
-    frozen.  Once the frozen error alone exceeds ``tol`` the pass has stalled
-    and can never converge by bisection.  At an interior panel it stops at
-    once.  At an end, no more columns retire; the panels near that end are
-    set aside, the others are refined to ``tol / 4`` (until ten bisections
-    have settled nothing, QUADPACK's roundoff test), and the level sums
-    (``_level_sums``) are extrapolated by ``wynn_epsilon``; the limit is
-    taken when its error plus the panels' own is within ``tol``.
+    The panels are numbered in the order they are made; panel r spans
+    ``ends[r]`` and its Kronrod values and errors over the live columns are
+    ``rows[:, r]``.  A heap of (-worst column error, r) picks the panel to
+    bisect, the number breaking ties.  Before each bisection, columns whose
+    summed error is at most ``_RETIRE * tol`` retire: their sums over the
+    panels are banked and their entries sliced out of ``rows``, so heap
+    keys and level sums hold the live columns only, and ``fv`` is called on
+    those.  A panel too narrow to bisect, or one whose halves would have a
+    node on a or b, is frozen.  Once the frozen error alone exceeds ``tol``
+    the pass has stalled and can never converge by bisection.  At an
+    interior panel it stops at once.  At an end, no more columns retire; the
+    panels near that end are set aside, the others are refined to ``tol / 4``
+    (until ten bisections have settled nothing, QUADPACK's roundoff test),
+    and the level sums (``_level_sums``) are extrapolated by
+    ``wynn_epsilon``; the limit is taken when its error plus the panels' own
+    is within ``tol``.
     """
     cols = np.asarray(cols)
     live = np.arange(len(cols))  # the columns still refined
-    banked = np.zeros((2, len(cols)))  # values and errors of retired columns
+    banked = np.zeros((2, len(cols)))  # per column: value and error
     live_cols = cols
 
-    def whole(live_part, retired_part):
-        if len(live) == len(cols):
-            return live_part
-        out = retired_part.copy()
-        out[live] = live_part
-        return out
-
-    p = _eval_panel(fv, cols, a, b)
+    rows = np.empty((2, 32, len(cols)))  # grown by doubling
+    rows[:, 0] = _eval_panel(fv, cols, a, b)
+    ends = [(a, b)]
     evals = 15
-    heap: list[tuple[float, int, _Panel]] = [(-float(p.err.max()), 0, p)]
-    seq = 1
-    value = p.ik.copy()
-    err = p.err.copy()
-    vmax = float(np.abs(value).max())
-    frozen: list[_Panel] = []
-    ferr = np.zeros_like(err)  # error of the panels in ``frozen``
+    heap: list[tuple[float, int]] = [(-float(rows[1, 0].max()), 0)]
+    tot = rows[:, 0].copy()  # value and error summed over the live panels
+    vmax = float(np.abs(tot[0]).max())
+    frozen: list[int] = []
+    ferr = np.zeros(len(cols))  # error of the panels in ``frozen``
     stalled: dict[float, int] = {}  # stalled end -> level of its neighbourhood
-    aside: list[_Panel] = []  # panels inside those neighbourhoods
+    aside: list[int] = []  # panels inside those neighbourhoods
     goal = tol
     roundoff = 0
 
-    while not _settled(err, value, goal, vmax):
+    while not _settled(tot[1], tot[0], goal, vmax):
         if evals + 30 > budget or not heap:
             break
-        if len(live) > 1 and not stalled and float(err.min()) <= _RETIRE * goal:
-            keep = err > _RETIRE * goal
-            kept = [h[2] for h in heap] + frozen
-            n = len(kept)
-            rows = np.array([q.ik for q in kept] + [q.err for q in kept])
+        if len(live) > 1 and not stalled and float(tot[1].min()) <= _RETIRE * goal:
+            keep = tot[1] > _RETIRE * goal
+            held = [r for _, r in heap]
             # every live column is banked; a kept one is banked again when it
-            # retires, or overwritten by ``whole`` if it never does
-            banked[:, live] = rows.reshape(2, n, -1).sum(axis=1)
-            rows = rows[:, keep]
-            for q, ik, er in zip(kept, rows[:n], rows[n:]):
-                q.ik, q.err = ik, er
-            keys = rows[n:n + len(heap)].max(axis=1).tolist()
-            heap = [(-k, h[1], h[2]) for k, h in zip(keys, heap)]
+            # retires, or overwritten by the final totals if it never does
+            banked[:, live] = rows[:, held + frozen].sum(axis=1)
+            rows = rows[:, :, keep]
+            keys = rows[1, held].max(axis=1).tolist()
+            heap = [(-k, r) for k, r in zip(keys, held)]
             heapq.heapify(heap)
-            value, err, ferr = np.array([value, err, ferr])[:, keep]
+            tot, ferr = tot[:, keep], ferr[keep]
             live = live[keep]
             live_cols = cols[live]
-        _, _, worst = heapq.heappop(heap)
-        width = worst.hi - worst.lo
-        if width < 50.0 * _EPS * (abs(worst.lo) + abs(worst.hi) + 1.0) or \
-                (worst.lo == a or worst.hi == b) and \
-                _reaches_end(worst.lo, worst.hi, a, b):
+        _, w = heapq.heappop(heap)
+        lo, hi = ends[w]
+        worst = rows[:, w]
+        if hi - lo < 50.0 * _EPS * (abs(lo) + abs(hi) + 1.0) or \
+                (lo == a or hi == b) and _reaches_end(lo, hi, a, b):
             # cannot be refined further in float64
-            end = a if worst.lo == a else b if worst.hi == b else None
-            if end is not None and (stalled or float((ferr + worst.err).max()) > tol):
-                near = max(width, _NEAR_ULPS * _EPS * abs(end))
+            end = a if lo == a else b if hi == b else None
+            if end is not None and (stalled or float((ferr + worst[1]).max()) > tol):
+                near = max(hi - lo, _NEAR_ULPS * _EPS * abs(end))
                 stalled[end] = k = round(math.log2((b - a) / near))
                 near = (b - a) * 0.5 ** k
-                aside += [worst] + [q for q in frozen + [h[2] for h in heap]
-                                    if abs(q.mid - end) < near]
-                heap = [h for h in heap if abs(h[2].mid - end) > near]
+                held = frozen + [r for _, r in heap]
+                dist = np.abs(_mids(ends, held) - end)
+                aside += [w] + [r for r, d in zip(held, dist) if d < near]
+                far = {r for r, d in zip(held, dist) if d > near}
+                heap = [h for h in heap if h[1] in far]
                 heapq.heapify(heap)
-                frozen = [q for q in frozen if abs(q.mid - end) > near]
-                ferr = sum((q.err for q in frozen), np.zeros_like(err))
-                err = sum((h[2].err for h in heap), ferr)
+                frozen = [r for r in frozen if r in far]
+                ferr = sum(rows[1, frozen], np.zeros(len(live)))
+                tot[1] = sum(rows[1, [r for _, r in heap]], ferr)
                 goal = 0.25 * tol
-                if _level_sums([h[2] for h in heap] + frozen, stalled, a, b) is None:
+                if _level_sums(rows, ends, [r for _, r in heap] + frozen,
+                               stalled, a, b) is None:
                     break  # no limit at this end: finishing cannot help
             else:
-                frozen.append(worst)
-                ferr = ferr + worst.err
+                frozen.append(w)
+                ferr = ferr + worst[1]
             if float(ferr.max()) > goal:
                 break  # stalled at an interior panel
             continue
-        mid = 0.5 * (worst.lo + worst.hi)
-        left = _eval_panel(fv, live_cols, worst.lo, mid)
-        right = _eval_panel(fv, live_cols, mid, worst.hi)
+        mid = 0.5 * (lo + hi)
+        left = _eval_panel(fv, live_cols, lo, mid)
+        right = _eval_panel(fv, live_cols, mid, hi)
         evals += 30
-        heapq.heappush(heap, (-float(left.err.max()), seq, left))
-        seq += 1
-        heapq.heappush(heap, (-float(right.err.max()), seq, right))
-        seq += 1
-        value = value - worst.ik + left.ik + right.ik
-        err = err - worst.err + left.err + right.err
+        n = len(ends)
+        if n + 2 > rows.shape[1]:
+            rows = np.concatenate([rows, np.empty_like(rows)], axis=1)
+        rows[:, n], rows[:, n + 1] = left, right
+        ends += [(lo, mid), (mid, hi)]
+        heapq.heappush(heap, (-float(left[1].max()), n))
+        heapq.heappush(heap, (-float(right[1].max()), n + 1))
+        tot = tot - worst + left + right
         if stalled:  # count bisections that settle nothing, as QUADPACK does
-            pair = left.ik + right.ik
-            if np.all(np.abs(pair - worst.ik) <= 1e-5 * np.abs(pair)) and \
-                    float((left.err + right.err).max()) >= 0.99 * float(worst.err.max()):
+            pair = left + right
+            if np.all(np.abs(pair[0] - worst[0]) <= 1e-5 * np.abs(pair[0])) and \
+                    float(pair[1].max()) >= 0.99 * float(worst[1].max()):
                 roundoff += 1
                 if roundoff == 10:
                     break  # rounding, not the integrand, limits the error
-        vmax = float(np.abs(value).max())
+        vmax = float(np.abs(tot[0]).max())
         if vmax > _DIVERGENCE_BOUND:
             raise DivergenceError(
                 "partial sums exceeded bound; integral appears divergent"
@@ -334,40 +323,39 @@ def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
 
     # Recompute the totals from the surviving panels; incremental updates are
     # only used to steer refinement.
-    panels = [p for _, _, p in heap] + frozen
-    sums = _level_sums(panels, stalled, a, b) if stalled else None
+    panels = [r for _, r in heap] + frozen
+    sums = _level_sums(rows, ends, panels, stalled, a, b) if stalled else None
     if sums is not None:
         limits = np.array([wynn_epsilon(s) for s in sums.T])
-        errors = whole(limits[:, 1] + np.sum(np.stack([p.err for p in panels]),
-                                             axis=0), banked[1])
-        values = whole(limits[:, 0], banked[0])
-        if _settled(errors, values, tol):
-            return BatchResult(values, errors, evals, True)
+        banked[0, live] = limits[:, 0]
+        banked[1, live] = limits[:, 1] + rows[1, panels].sum(axis=0)
+        if _settled(banked[1], banked[0], tol):
+            return BatchResult(banked[0], banked[1], evals, True)
     panels += aside
-    value = whole(np.sum(np.stack([p.ik for p in panels]), axis=0), banked[0])
-    err_final = np.maximum(
-        whole(np.sum(np.stack([p.err for p in panels]), axis=0), banked[1]),
-        _ERR_FLOOR)
-    return BatchResult(value, err_final, evals, _settled(err_final, value, tol))
+    for i in range(2):  # one row kind at a time, as the sums were always made
+        banked[i, live] = rows[i, panels].sum(axis=0)
+    values, errors = banked[0], np.maximum(banked[1], _ERR_FLOOR)
+    return BatchResult(values, errors, evals, _settled(errors, values, tol))
 
 
-def _level_sums(panels: list[_Panel], stalled: dict[float, int], a: float,
-                b: float) -> np.ndarray | None:
-    """Rows S_k, k = 1 .. the shallowest level in ``stalled``: the sums of the
-    ``panels`` outside the neighbourhoods of width (b-a) 2^-k of the stalled
-    ends (bisection is dyadic, so no panel straddles one).  None unless the
-    level differences shrink by _RATIO over the last _LEVELS levels, since a
-    divergent S_k has an epsilon-algorithm antilimit too.  The test is per
-    column, and a difference at the panel rounding floor (_PANEL_FLOOR
-    |S_k|) counts as shrinking, so a column that has already settled does
-    not block the extrapolation of the others."""
+def _level_sums(rows: np.ndarray, ends: list[tuple[float, float]], idx: list[int],
+                stalled: dict[float, int], a: float, b: float) -> np.ndarray | None:
+    """Rows S_k, k = 1 .. the shallowest level in ``stalled``: the sums of
+    the Kronrod values of the panels ``idx`` outside the neighbourhoods of
+    width (b-a) 2^-k of the stalled ends (bisection is dyadic, so no panel
+    straddles one).  None unless the level differences shrink by _RATIO over
+    the last _LEVELS levels, since a divergent S_k has an epsilon-algorithm
+    antilimit too.  The test is per column, and a difference at the panel
+    rounding floor (_PANEL_FLOOR |S_k|) counts as shrinking, so a column
+    that has already settled does not block the extrapolation of the
+    others."""
     depth = min(stalled.values())
     if depth <= _LEVELS:
         return None
-    mids = np.array([p.mid for p in panels])
+    mids = _mids(ends, idx)
     dist = np.min([np.abs(mids - end) for end in stalled], axis=0) / (b - a)
     outside = dist > 0.5 ** np.arange(1, depth + 1)[:, None]
-    sums = outside.astype(float) @ np.stack([p.ik for p in panels])
+    sums = outside.astype(float) @ rows[0, idx]
     last = sums[-_LEVELS - 1:]
     steps = np.abs(np.diff(last, axis=0))
     shrinks = (steps[1:] <= _RATIO * steps[:-1]) | \

@@ -199,6 +199,70 @@ def test_retired_columns_are_not_evaluated():
     assert sum(points) < res.evaluations * len(AMPLITUDES)
 
 
+
+# Multi-column passes measured before the panels became rows of one store:
+# evaluations exactly, values to 1e-15 and errors to 1e-12 relative.
+MULTI_COLUMN = {
+    "runge": lambda: integrate_finite_batch(
+        _runge_columns([]), AMPLITUDES, -1.0, 1.0, tol=1e-12),
+    "tails": lambda: integrate_decaying_batch(
+        lambda y, p: (1.0 + y[:, None] ** 2) ** -p[None, :],
+        np.array([0.55, 2.0]), tol=1e-9),
+    "damped": lambda: integrate_decaying_batch(
+        lambda y, c: np.exp(-np.outer(y, c)) * np.cos(np.outer(y, c)),
+        np.linspace(0.1, 5.0, 25), tol=1e-11),
+    "singular": lambda: integrate_finite_batch(
+        lambda x, c: np.abs(np.outer(x, c)) ** -0.5,
+        np.linspace(0.5, 3.0, 12), 0.0, 1.0),
+}
+MULTI_COLUMN_BEFORE = {
+    "runge": (225,
+        [0.5493603067780065, 5.493603067780065e-07, 5.493602980136991e-13],
+        [1.4513953526200412e-13, 3.267194468684744e-16, 1.084349313302256e-15]),
+    "tails": (1395,
+        [10.676724666250847, 0.7853981633974484],
+        [1.5887219083068065e-11, 1.1786974939793307e-14]),
+    "damped": (585,
+        [5.000000000000001, 1.6438356164383565, 0.9836065573770492,
+         0.7017543859649124, 0.5454545454545454, 0.4460966542750929,
+         0.3773584905660377, 0.326975476839237, 0.2884615384615385,
+         0.2580645161290323, 0.23346303501945526, 0.21314387211367675,
+         0.19607843137254904, 0.1815431164901664, 0.1690140845070422,
+         0.15810276679841898, 0.1485148514851485, 0.1400233372228705,
+         0.1324503311258278, 0.1256544502617801, 0.1195219123505976,
+         0.11396011396011396, 0.10889292196007261, 0.10425716768027804, 0.1],
+        [1.052479786019286e-12, 5.814816537476661e-13, 1.0630991187998668e-12,
+         3.2191251045149516e-13, 3.5678491292152777e-13,
+         4.442234310560755e-14, 3.4559271852605736e-13, 6.289176293083579e-13,
+         4.594321312706486e-13, 5.333847087556759e-13, 6.862126418679054e-13,
+         1.5671130773434145e-13, 1.2177692907142306e-12,
+         8.892053975629495e-14, 1.1339322256697296e-12, 9.95826756256471e-14,
+         8.680512083276399e-13, 1.7223105449340643e-13,
+         1.3001232083193318e-12, 8.48254326162864e-13, 1.1184644110897905e-12,
+         6.296821127462474e-13, 1.6720381667036655e-13, 8.080582306619286e-13,
+         2.0880687088629673e-12]),
+    "singular": (1425,
+        [2.8284271247461894, 2.3452078799117144, 2.047065262876635,
+         1.8397324220156002, 1.6848470783484637, 1.563471919941143,
+         1.4650397480664592, 1.383128149616249, 1.3135791548583706,
+         1.2535663410560172, 1.2010923989517508, 1.154700538379251],
+        [2.448167287601602e-13, 2.03001554567756e-13, 1.7718824582492246e-13,
+         1.5924512057824193e-13, 1.4583448094324992e-13,
+         1.3533215467485447e-13, 1.2681892931513745e-13,
+         1.1972476433096534e-13, 1.1370435927063204e-13,
+         1.0850984349955477e-13, 1.0396516786565608e-13, 9.995319460107085e-14]),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_COLUMN))
+def test_multi_column_pass_is_unchanged(name):
+    res = MULTI_COLUMN[name]()
+    evals, values, errors = MULTI_COLUMN_BEFORE[name]
+    assert res.converged
+    assert res.evaluations == evals
+    assert res.values == pytest.approx(values, rel=1e-15, abs=0.0)
+    assert res.errors == pytest.approx(errors, rel=1e-12, abs=0.0)
+
 DIVERGENT = [
     ("x^-1", lambda x: 1.0 / x, False),
     ("x^-1.5", lambda x: x ** -1.5, False),
