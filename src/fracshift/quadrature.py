@@ -12,8 +12,9 @@ caller-supplied breakpoints (sign changes), the remainder beyond the last one
 mapped too.
 
 Tolerances are absolute, with one floor: a column is done once its error is
-within ``_REL_FLOOR`` = 100 eps of its value, twice the rounding floor of a
-panel, so a large integral stops at rounding instead of spending the budget.
+within ``_REL_FLOOR`` = 100 eps of its integral of |f| (QUADPACK's resabs),
+twice the rounding floor of a panel, so a large or cancelling integral stops
+at rounding instead of spending the budget.
 Integrands are sampled only at interior points (a panel whose halves would
 put a node on an end of the range is frozen instead of bisected), but a
 caller's substitution may probe arguments that have underflowed to an
@@ -25,9 +26,9 @@ used by the operator kernels.  A batch integrand is parametric: f(t, cols)
 maps a node array of shape (k,) and column parameters (the x grid of a
 kernel, or any 1-d array) to values of shape (k, len(cols)), or (k,) for one
 column.  All columns share one adaptive pass, and a column whose summed
-error falls to a hundredth of the goal retires from it: its value and error are
-banked and the integrand is then called on the live columns only, so it
-must accept any subset of the ``cols`` it was given.  A scalar pass is the
+error falls to a hundredth of the goal, or to its floor, retires from it: its
+value and error are banked and the integrand is then called on the live
+columns only, so it must accept any subset of the ``cols`` it was given.  A scalar pass is the
 one-column case.
 """
 
@@ -71,12 +72,12 @@ _ERR_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
 # A panel's error estimate is at least _PANEL_FLOOR times the integral of |f|
 # over it (QUADPACK's rounding floor), and a column is done once its summed
-# error is at most max(goal, _REL_FLOOR * |value|): twice that floor, which
-# a sum of one-signed panels at their floors stays under.
+# error is at most max(goal, _REL_FLOOR * its integral of |f|): twice that
+# floor, which the sum of the panels' floors stays under.
 _PANEL_FLOOR = 50.0 * _EPS
 _REL_FLOOR = 2.0 * _PANEL_FLOOR
-# A column whose summed error is at most _RETIRE times the goal leaves the
-# pass.  Retired columns keep errors near this bound where the shared pass
+# A column whose summed error is at most max(_RETIRE * goal, its floor)
+# leaves the pass.  Retired columns keep errors near this bound where the shared pass
 # would have refined them further: at a tenth the residuals of the laplace
 # family lost up to 0.11 decades of the benchmark's accuracy margin on 4 of
 # 16 verify-sweep seeds, at a hundredth none moved.
@@ -151,8 +152,8 @@ def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
 
 
 def _eval_panel(fv, cols: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """The rows of the panel (lo, hi): its Kronrod value and its error
-    estimate, one entry per column."""
+    """The rows of the panel (lo, hi): its Kronrod value, its error estimate
+    and its integral of |f| (QUADPACK's resabs), one entry per column."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     xs = mid + half * _NODES
@@ -173,7 +174,7 @@ def _eval_panel(fv, cols: np.ndarray, lo: float, hi: float) -> np.ndarray:
             raw,
         )
     err = np.maximum(scaled, _PANEL_FLOOR * resabs)
-    return np.array([ik, err]).reshape(2, -1)  # one column may come as (15,)
+    return np.array([ik, err, resabs]).reshape(3, -1)  # one column may be (15,)
 
 
 def _mids(ends: list[tuple[float, float]], idx) -> np.ndarray:
@@ -182,16 +183,22 @@ def _mids(ends: list[tuple[float, float]], idx) -> np.ndarray:
     return 0.5 * (lohi[:, 0] + lohi[:, 1])
 
 
-def _settled(err: np.ndarray, value: np.ndarray, goal: float,
-             vmax: float = math.inf) -> bool:
-    """Whether every column's error is at most max(goal, _REL_FLOOR |value|);
-    a bound vmax >= max |value| lets the usual case skip the column test."""
+def _done(err: np.ndarray, absint: np.ndarray, goal: float) -> np.ndarray:
+    """Per column: whether its error is at most max(goal, _REL_FLOOR times
+    its integral of |f|)."""
+    return err <= np.maximum(goal, _REL_FLOOR * absint)
+
+
+def _settled(err: np.ndarray, absint: np.ndarray, goal: float,
+             amax: float = math.inf) -> bool:
+    """Whether every column is ``_done``; a bound amax >= max ``absint``
+    lets the usual case skip the column test."""
     emax = float(err.max())
     if emax <= goal:
         return True
-    if emax > _REL_FLOOR * vmax:
+    if emax > _REL_FLOOR * amax:
         return False
-    return bool(np.all(err <= np.maximum(goal, _REL_FLOOR * np.abs(value))))
+    return bool(np.all(_done(err, absint, goal)))
 
 
 def _reaches_end(lo: float, hi: float, a: float, b: float) -> bool:
@@ -211,38 +218,38 @@ def _reaches_end(lo: float, hi: float, a: float, b: float) -> bool:
 def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
               budget: int) -> BatchResult:
     """Drive every column of the parametric integrand ``fv(t, cols)`` on
-    (a, b) below ``tol``, or below the rounding floor ``_REL_FLOOR * |value|``
-    of a column whose integral is large (``_settled``).
+    (a, b) below ``tol``, or below the rounding floor ``_REL_FLOOR`` times
+    its integral of |f| where that is larger (``_done``).
 
-    The panels are numbered in the order they are made; panel r spans
-    ``ends[r]`` and its Kronrod values and errors over the live columns are
-    ``rows[:, r]``.  A heap of (-worst column error, r) picks the panel to
-    bisect, the number breaking ties.  Before each bisection, columns whose
-    summed error is at most ``_RETIRE * tol`` retire: their sums over the
-    panels are banked and their entries sliced out of ``rows``, so heap
-    keys and level sums hold the live columns only, and ``fv`` is called on
-    those.  A panel too narrow to bisect, or one whose halves would have a
-    node on a or b, is frozen.  Once the frozen error alone exceeds ``tol``
-    the pass has stalled and can never converge by bisection.  At an
-    interior panel it stops at once.  At an end, no more columns retire; the
-    panels near that end are set aside, the others are refined to ``tol / 4``
-    (until ten bisections have settled nothing, QUADPACK's roundoff test),
-    and the level sums (``_level_sums``) are extrapolated by
-    ``wynn_epsilon``; the limit is taken when its error plus the panels' own
-    is within ``tol``.
+    The panels are numbered in the order they are made: panel r spans
+    ``ends[r]``, and ``rows[:, r]`` holds its Kronrod values, errors and
+    integrals of |f| over the live columns.  A heap of (-worst column
+    error, r) picks the panel to bisect, the number breaking ties.  Before
+    each bisection, the columns that are ``_done`` at ``_RETIRE * tol``
+    retire: their sums over the panels are banked and their entries sliced
+    out of ``rows``, so heap keys and level sums hold the live columns only,
+    and ``fv`` is called on those.  A panel too narrow to bisect, or one
+    whose halves would have a node on a or b, is frozen.  Once the frozen
+    error alone exceeds ``tol`` the pass has stalled and can never converge
+    by bisection.  At an interior panel it stops at once.  At an end, no
+    more columns retire; the panels near that end are set aside, the others
+    are refined to ``tol / 4`` (until ten bisections have settled nothing,
+    QUADPACK's roundoff test), and the level sums (``_level_sums``) are
+    extrapolated by ``wynn_epsilon``; the limit is taken when its error plus
+    the panels' own is ``_done`` at ``tol``.
     """
     cols = np.asarray(cols)
     live = np.arange(len(cols))  # the columns still refined
-    banked = np.zeros((2, len(cols)))  # per column: value and error
+    banked = np.zeros((3, len(cols)))  # per column: value, error, |f| integral
     live_cols = cols
 
-    rows = np.empty((2, 32, len(cols)))  # grown by doubling
+    rows = np.empty((3, 32, len(cols)))  # grown by doubling
     rows[:, 0] = _eval_panel(fv, cols, a, b)
     ends = [(a, b)]
     evals = 15
     heap: list[tuple[float, int]] = [(-float(rows[1, 0].max()), 0)]
-    tot = rows[:, 0].copy()  # value and error summed over the live panels
-    vmax = float(np.abs(tot[0]).max())
+    tot = rows[:, 0].copy()  # the rows summed over the live panels
+    amax = float(tot[2].max())
     frozen: list[int] = []
     ferr = np.zeros(len(cols))  # error of the panels in ``frozen``
     stalled: dict[float, int] = {}  # stalled end -> level of its neighbourhood
@@ -250,11 +257,14 @@ def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
     goal = tol
     roundoff = 0
 
-    while not _settled(tot[1], tot[0], goal, vmax):
+    while not _settled(tot[1], tot[2], goal, amax):
         if evals + 30 > budget or not heap:
             break
-        if len(live) > 1 and not stalled and float(tot[1].min()) <= _RETIRE * goal:
-            keep = tot[1] > _RETIRE * goal
+        # the least error against the largest floor first: usually no column
+        # is done, and that one comparison says so
+        if len(live) > 1 and not stalled and \
+                float(tot[1].min()) <= max(_RETIRE * goal, _REL_FLOOR * amax) and \
+                not (keep := ~_done(tot[1], tot[2], _RETIRE * goal)).all():
             held = [r for _, r in heap]
             # every live column is banked; a kept one is banked again when it
             # retires, or overwritten by the final totals if it never does
@@ -315,8 +325,8 @@ def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
                 roundoff += 1
                 if roundoff == 10:
                     break  # rounding, not the integrand, limits the error
-        vmax = float(np.abs(tot[0]).max())
-        if vmax > _DIVERGENCE_BOUND:
+        amax = float(tot[2].max())
+        if amax > _DIVERGENCE_BOUND:
             raise DivergenceError(
                 "partial sums exceeded bound; integral appears divergent"
             )
@@ -324,22 +334,24 @@ def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
     # Recompute the totals from the surviving panels; incremental updates are
     # only used to steer refinement.
     panels = [r for _, r in heap] + frozen
+    banked[2, live] = rows[2, panels + aside].sum(axis=0)
     sums = _level_sums(rows, ends, panels, stalled, a, b) if stalled else None
     if sums is not None:
         limits = np.array([wynn_epsilon(s) for s in sums.T])
         banked[0, live] = limits[:, 0]
         banked[1, live] = limits[:, 1] + rows[1, panels].sum(axis=0)
-        if _settled(banked[1], banked[0], tol):
+        if _settled(banked[1], banked[2], tol):
             return BatchResult(banked[0], banked[1], evals, True)
     panels += aside
-    for i in range(2):  # one row kind at a time, as the sums were always made
+    for i in range(2):  # row by row: a (2, n, 1) sum over n rounds otherwise
         banked[i, live] = rows[i, panels].sum(axis=0)
     values, errors = banked[0], np.maximum(banked[1], _ERR_FLOOR)
-    return BatchResult(values, errors, evals, _settled(errors, values, tol))
+    return BatchResult(values, errors, evals, _settled(errors, banked[2], tol))
 
 
-def _level_sums(rows: np.ndarray, ends: list[tuple[float, float]], idx: list[int],
-                stalled: dict[float, int], a: float, b: float) -> np.ndarray | None:
+def _level_sums(rows: np.ndarray, ends: list[tuple[float, float]],
+                idx: list[int], stalled: dict[float, int], a: float,
+                b: float) -> np.ndarray | None:
     """Rows S_k, k = 1 .. the shallowest level in ``stalled``: the sums of
     the Kronrod values of the panels ``idx`` outside the neighbourhoods of
     width (b-a) 2^-k of the stalled ends (bisection is dyadic, so no panel
@@ -439,7 +451,7 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float = 0.0,
     to (0,1) by y = a + t/(1-t).  For oscillatory integrands the caller may
     supply the sign-change abscissae as ``breakpoints`` (ascending, > a); the
     segment integrals between them are summed directly and the mapped tail
-    adds the remainder.
+    adds the remainder; the sum has converged when every part has.
     """
     if not math.isfinite(a):
         raise ValueError("lower limit must be finite")
@@ -453,22 +465,17 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float = 0.0,
     if pts[1] <= a:
         raise ValueError("breakpoints must exceed the lower limit")
     seg_tol = tol / (2.0 * (len(pts) - 1))
-    value = 0.0
-    err = 0.0
+    parts: list[BatchResult] = []
     evals = 0
-    ok = True
     for lo, hi in zip(pts[:-1], pts[1:]):
-        r = _adaptive(fv, _ONE_COLUMN, lo, hi, seg_tol, budget - evals)
-        value += float(r.values[0])
-        err += float(r.errors[0])
-        evals += r.evaluations
-        ok = ok and r.converged
-    r = _mapped_tail(fv, _ONE_COLUMN, pts[-1], tol / 2.0, budget - evals)
-    value += float(r.values[0])
-    err += float(r.errors[0])
-    evals += r.evaluations
-    ok = ok and r.converged
-    return QuadratureResult(value, max(err, _ERR_FLOOR), evals, ok and err <= tol)
+        parts.append(_adaptive(fv, _ONE_COLUMN, lo, hi, seg_tol, budget - evals))
+        evals += parts[-1].evaluations
+    parts.append(_mapped_tail(fv, _ONE_COLUMN, pts[-1], tol / 2.0, budget - evals))
+    evals += parts[-1].evaluations
+    value = sum(float(r.values[0]) for r in parts)
+    err = sum(float(r.errors[0]) for r in parts)
+    ok = all(r.converged for r in parts)
+    return QuadratureResult(value, max(err, _ERR_FLOOR), evals, ok)
 
 
 # -- batch API used by the operator kernels ----------------------------------

@@ -167,6 +167,40 @@ def test_large_integral_stops_at_rounding():
     assert abs(res.value - exact) <= 100.0 * np.finfo(float).eps * exact
 
 
+
+def test_column_settled_at_its_floor_retires():
+    # the e^{3.39x} column settles at its rounding floor long before the
+    # absolute tol; it retires there, so the narrow peak of the other column
+    # is refined alone and the shared pass costs no more than the two apart
+    k, a, b = 3.39, 0.84, 3.78
+    parts = [lambda x: np.exp(k * x),
+             lambda x: 1.0 / (1.0 + 1e6 * (x - 1.5) ** 2)]
+    exact = np.array([(math.exp(k * b) - math.exp(k * a)) / k,
+                      (math.atan(1e3 * (b - 1.5)) - math.atan(1e3 * (a - 1.5)))
+                      / 1e3])
+    res = integrate_finite_batch(
+        lambda x, c: np.stack([g(x) for g in parts], axis=1)[:, c],
+        np.arange(2), a, b)
+    apart = [integrate_finite(g, a, b).evaluations for g in parts]
+    assert res.converged
+    assert res.evaluations <= sum(apart)
+    floor = 100.0 * np.finfo(float).eps * np.abs(exact)
+    assert np.all(np.abs(res.values - exact) <= np.maximum(1e-10, floor))
+
+
+def test_cancelling_integral_stops_at_rounding():
+    # 1e6 sin(t) e^{-t/10}: the value is about 1e6, the integral of |f|
+    # about 6e6, and the rounding floor of the panels is judged against the
+    # latter, so the oscillating tail settles instead of spending the budget
+    res = integrate_semi_infinite(
+        lambda t: 1e6 * math.sin(t) * math.exp(-t / 10.0), 0.0, 1e-10,
+        breakpoints=[k * math.pi for k in range(1, 6)])
+    true_err = abs(res.value - 1e6 / 1.01)
+    assert res.converged
+    assert res.evaluations < 10_000
+    assert true_err <= res.abs_error_estimate
+    assert true_err <= 100.0 * np.finfo(float).eps * 1e7  # 1e7 > int |f|
+
 AMPLITUDES = np.array([1.0, 1e-6, 1e-12])
 RUNGE_EXACT = 0.4 * math.atan(5.0)  # int_-1^1 dx / (1 + 25 x^2)
 
