@@ -28,8 +28,8 @@ kernel, or any 1-d array) to values of shape (k, len(cols)), or (k,) for one
 column.  All columns share one adaptive pass, and a column whose summed
 error falls to a hundredth of the goal, or to its floor, retires from it: its
 value and error are banked and the integrand is then called on the live
-columns only, so it must accept any subset of the ``cols`` it was given.  A scalar pass is the
-one-column case.
+columns only, so it must accept any subset of the ``cols`` it was given.  A
+scalar pass is the one-column case.
 """
 
 from __future__ import annotations
@@ -77,10 +77,10 @@ _EPS = float(np.finfo(float).eps)
 _PANEL_FLOOR = 50.0 * _EPS
 _REL_FLOOR = 2.0 * _PANEL_FLOOR
 # A column whose summed error is at most max(_RETIRE * goal, its floor)
-# leaves the pass.  Retired columns keep errors near this bound where the shared pass
-# would have refined them further: at a tenth the residuals of the laplace
-# family lost up to 0.11 decades of the benchmark's accuracy margin on 4 of
-# 16 verify-sweep seeds, at a hundredth none moved.
+# leaves the pass.  Retired columns keep errors near this bound where the
+# shared pass would have refined them further: at a tenth the residuals of
+# the laplace family lost up to 0.11 decades of the benchmark's accuracy
+# margin on 4 of 16 verify-sweep seeds, at a hundredth none moved.
 _RETIRE = 0.01
 # Endpoint extrapolation: over the last _LEVELS level differences each is at
 # most _RATIO times the one before; a neighbourhood of a stalled end spans at
