@@ -294,11 +294,11 @@ def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
                 heap = [h for h in heap if h[1] in far]
                 heapq.heapify(heap)
                 frozen = [r for r in frozen if r in far]
+                held = [r for _, r in heap]
                 ferr = sum(rows[1, frozen], np.zeros(len(live)))
-                tot[1] = sum(rows[1, [r for _, r in heap]], ferr)
+                tot[1] = sum(rows[1, held], ferr)
                 goal = 0.25 * tol
-                if _level_sums(rows, ends, [r for _, r in heap] + frozen,
-                               stalled, a, b) is None:
+                if _level_sums(rows, ends, held + frozen, stalled, a, b) is None:
                     break  # no limit at this end: finishing cannot help
             else:
                 frozen.append(w)
