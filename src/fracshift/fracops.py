@@ -28,6 +28,9 @@ the reflected radial map w = -x^2/2: the radial equation needs the
 ascending (Weyl direction) kernel with profile argument w + s, which is the
 descending one in the reflected coordinate.
 
+The shift itself, g(F^-1(F(x) - s)), is one function, ``_shifted``: the
+kernel and the radial and generalized-shift residuals all call it.
+
 Scalar entry points accept any real -> real callables and call them one point
 at a time (``quadrature.elementwise``); the ``*_batch`` variants evaluate a
 whole argument array in one adaptive pass and require the callables to
@@ -135,12 +138,30 @@ _REFLECTED_RADIAL_MAP = reflected_radial_map()
 
 
 def _at_point(batch, what: str, lead: tuple, fs: tuple, x: float,
-              tol: float, budget: int, **kwargs) -> float:
+              tol: float, budget: int) -> float:
     """Scalar entry shared by the kernels: ``batch`` at the single point x,
     with the scalar callables ``fs`` applied elementwise."""
     res = batch(*lead, *map(elementwise, fs), np.array([float(x)]), tol,
-                budget, **kwargs)
+                budget)
     return float(res.converged_values(what)[0])
+
+
+def _shifted(cmap: CoordinateMap, g: Callable[[np.ndarray], np.ndarray],
+             ws: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g(F_inv(w - s)) for every shift s (rows) and w in ``ws`` (columns),
+    0 where the argument has left the open domain (x e^-s underflowed to 0
+    on the log map, or F(x) = -inf at x = lo): admissible data vanish there,
+    so g is not called there, nor at all when no argument is inside."""
+    lo, hi = cmap.domain
+    with np.errstate(all="ignore"):
+        xi = np.asarray(cmap.F_inv(ws[None, :] - s[:, None]), dtype=float)
+    if xi.min() > lo and xi.max() < hi:  # False on NaN too
+        return np.asarray(g(xi), dtype=float)
+    inside = (xi > lo) & (xi < hi)
+    out = np.zeros_like(xi)
+    if inside.any():
+        out[inside] = g(xi[inside])
+    return out
 
 
 _NEAR_ZERO = math.exp(-700.0)  # about 1e-304, still a normal float64
@@ -230,43 +251,21 @@ def half_sqrt_xd(f_prime: Callable[[float], float], x: float,
 def weyl_half_radial_batch(f: Callable[[np.ndarray], np.ndarray],
                            f_prime: Callable[[np.ndarray], np.ndarray],
                            xs: np.ndarray, tol: float = DEFAULT_TOL,
-                           budget: int = DEFAULT_BUDGET,
-                           kernel: str = "transported") -> BatchResult:
-    """Half power of -(1/x) d/dx against a decaying profile, batched.
-
-    kernel="transported" (default): -(4/pi) int_0^inf p'(w + v^2) dv with
-    w = x^2/2 and p(w) = f(sqrt(2w)), the form that passes the residual
-    checks; it is the half-power kernel on the reflected radial map.
-    kernel="plain" evaluates the printed closed form
-    -(2 sqrt(2)/pi) int_0^inf f'(x^2 + u^2)/sqrt(x^2 + u^2) du, which treats
-    the profile argument without the half-square transport; it is kept for
-    comparison and is known to fail the residual check (see
-    verify.radial_kernel_discrepancy).
-    """
-    if kernel not in ("transported", "plain"):
-        raise ValueError(f"unknown kernel {kernel!r}")
+                           budget: int = DEFAULT_BUDGET) -> BatchResult:
+    """Half power of -(1/x) d/dx against a decaying profile, batched:
+    -(4/pi) int_0^inf p'(w + v^2) dv with w = x^2/2 and p(w) = f(sqrt(2w)),
+    the half-power kernel on the reflected radial map; f is only probed for
+    decay.  verify.radial_kernel_discrepancy compares the printed form."""
     _probe_decay(f, tol)
-    if kernel == "transported":
-        return generalized_half_batch(_REFLECTED_RADIAL_MAP, f, f_prime, xs,
-                                      tol, budget)
-    xs = np.asarray(xs, dtype=float)
-    if (xs < 0.0).any():
-        raise ValueError("arguments must be >= 0")
-    pref = -2.0 * math.sqrt(2.0) / math.pi
-
-    def integrand(us, x2):
-        args = x2[None, :] + (us * us)[:, None]
-        return pref * np.asarray(f_prime(args), dtype=float) / np.sqrt(args)
-
-    return integrate_decaying_batch(integrand, xs * xs, tol=tol, budget=budget)
+    return generalized_half_batch(_REFLECTED_RADIAL_MAP, f, f_prime, xs, tol,
+                                  budget)
 
 
 def weyl_half_radial(f: Callable[[float], float],
                      f_prime: Callable[[float], float], x: float,
-                     tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
-                     kernel: str = "transported") -> float:
+                     tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET) -> float:
     return _at_point(weyl_half_radial_batch, "weyl_half_radial", (),
-                     (f, f_prime), x, tol, budget, kernel=kernel)
+                     (f, f_prime), x, tol, budget)
 
 
 # -- generalized shift generators -------------------------------------------
@@ -280,9 +279,10 @@ def generalized_half_batch(cmap: CoordinateMap,
     """(2/sqrt(pi)) (q(x) d/dx)^(1/2) f, batched over ``xs``.
 
     Descending-kernel realization (4/pi) int_0^inf g'(F(x) - v^2) dv with
-    g'(w) = f'(F_inv(w)) q(F_inv(w)).  The transported argument must stay in
-    F's range as v grows; maps whose decaying direction is ascending should
-    be passed reflected (F -> -F, q -> -q), cf. reflected_radial_map.
+    g'(w) = f'(F_inv(w)) q(F_inv(w)), the shift ``_shifted`` of
+    (4/pi) f' q.  The transported argument must stay in F's range as v
+    grows; maps whose decaying direction is ascending should be passed
+    reflected (F -> -F, q -> -q), cf. reflected_radial_map.
 
     ``xs`` must lie in [lo, hi) of ``cmap.domain``.  At x = lo the integral
     is taken if F(lo) is finite (reflected radial map at 0); if F(lo) = -inf
@@ -295,22 +295,13 @@ def generalized_half_batch(cmap: CoordinateMap,
     with np.errstate(divide="ignore"):
         ws = np.asarray(cmap.F(xs), dtype=float)
 
-    def integrand(vs, ws):
-        xi = np.asarray(cmap.F_inv(ws[None, :] - (vs * vs)[:, None]), dtype=float)
-        # A transported argument that has left (lo, hi), such as x e^-v^2
-        # underflowed to 0 on the log map (or F(x) = -inf at x = lo),
-        # contributes 0, as in the genshift residual; f' is not called there.
-        if xi.min() > lo and xi.max() < hi:  # False on NaN too
-            return _FOUR_OVER_PI * np.asarray(f_prime(xi), dtype=float) \
-                * np.asarray(cmap.q(xi), dtype=float)
-        inside = (xi > lo) & (xi < hi)
-        out = np.zeros_like(xi)
-        xi = xi[inside]
-        out[inside] = _FOUR_OVER_PI * np.asarray(f_prime(xi), dtype=float) \
+    def g(xi):
+        return _FOUR_OVER_PI * np.asarray(f_prime(xi), dtype=float) \
             * np.asarray(cmap.q(xi), dtype=float)
-        return out
 
-    return integrate_decaying_batch(integrand, ws, tol=tol, budget=budget)
+    return integrate_decaying_batch(
+        lambda vs, ws: _shifted(cmap, g, ws, vs * vs), ws, tol=tol,
+        budget=budget)
 
 
 def generalized_half(cmap: CoordinateMap, f: Callable[[float], float],

@@ -9,18 +9,23 @@ The five families, written with unknown u under the integral and data f:
   moebius             int_0^a  u(x / (1 + x y)) dy         = f(x),  a > 0
 
 Each kernel is the exponential of a first-order generator acting on u, so the
-equation inverts spectrally: the first four via the half power of the
+equation inverts spectrally: the shift families via the half power of the
 generator ((2/sqrt(pi)) sqrt(G) f), the laplace family via the inverse-gamma
 coefficient map b_n = a_n / Gamma(mu n + 1), and the moebius family via the
 geometric expansion of (1 - exp(-a x^2 d/dx))^{-1} applied to x^2 f'.
+The shift families are gaussian (the generalized shift on the log map),
+radial (on the reflected radial map) and genshift; their solvers share one
+handle, ``_half_power``.  The radial and genshift residuals take the
+kernel's own shift; gaussian keeps u(x e^{-y^2}), which rounds better.
 
 Each family is one FamilyDef entry of FAMILIES, so adding a family means
 adding one entry.  Solvers return SolutionFn handles; nothing is precomputed
 on a grid.  A handle's scalar call is derived from its ``eval_batch``, except
 for laplace, whose compensated series evaluation keeps its diagnostics.
-Solvers probe f and f' at x in {0.5, 1.5} and wrap them if they do not map
-arrays to arrays; the scalar entry points of quadrature and fracops, and
-verify.residual given a plain callable, call it one point at a time.
+Solvers probe the callables they read at x in {0.5, 1.5} and wrap one that
+does not map arrays to arrays; the scalar entry points of quadrature and
+fracops, and verify.residual given a plain callable, call it one point at a
+time.
 """
 
 from __future__ import annotations
@@ -99,23 +104,13 @@ def _map_descends_at_zero(spec) -> bool:
         return False
 
 
-def _genshift_integrand(spec, ev):
-    cmap = spec.cmap
-    lo, hi = cmap.domain
-
+def _shift_integrand(cmap: CoordinateMap, ev):
+    """LHS terms u(F_inv(F(x) - y^2)) on ``cmap``: the kernel's own shift,
+    0 where the argument has left the map's range."""
     def integrand(ys, xs):
-        ws = np.asarray(cmap.F(xs), dtype=float)
-        with np.errstate(all="ignore"):
-            args = np.asarray(
-                cmap.F_inv(ws[None, :] - (ys * ys)[:, None]), dtype=float
-            )
-        out = np.zeros_like(args)
-        # Outside the open domain the transported argument has left the
-        # map's range; admissible f vanish in that limit.
-        valid = np.isfinite(args) & (args > lo) & (args < hi)
-        if valid.any():
-            out[valid] = ev(args[valid])
-        return out
+        with np.errstate(divide="ignore"):  # F(lo) = -inf at x = lo
+            ws = np.asarray(cmap.F(xs), dtype=float)
+        return fracops._shifted(cmap, ev, ws, ys * ys)
     return integrand
 
 
@@ -139,15 +134,14 @@ FAMILIES: dict[Family, FamilyDef] = {
     Family.RADIAL: FamilyDef(
         ("f", "f_prime"),
         lambda spec, tol: solve_radial(spec.f, spec.f_prime, tol),
-        lambda spec, ev: lambda ys, xs: ev(
-            np.sqrt(xs[None, :] ** 2 + 2.0 * ys[:, None] ** 2)),
+        lambda spec, ev: _shift_integrand(fracops._REFLECTED_RADIAL_MAP, ev),
         1e-6, "0:3:13", positive=(), vanishes_at_zero=_never, upper=None,
     ),
     Family.GENERALIZED_SHIFT: FamilyDef(
         ("f", "f_prime", "cmap"),
         lambda spec, tol: solve_generalized_shift(spec.cmap, spec.f,
                                                   spec.f_prime, tol),
-        _genshift_integrand,
+        lambda spec, ev: _shift_integrand(spec.cmap, ev),
         1e-6, "geom:0.1:5:25", positive=(),
         vanishes_at_zero=_map_descends_at_zero, upper=None,
     ),
@@ -233,23 +227,25 @@ def _check_vanishes_at_zero(f) -> None:
         )
 
 
-def _kernel_handle(family: Family, method: str, what: str, kernel,
-                   tol: float) -> SolutionFn:
-    """Handle whose eval_batch is one adaptive pass ``kernel(xs)`` over all
-    arguments, refused unless converged."""
+def _half_power(family: Family, method: str, what: str, cmap: CoordinateMap,
+                f_prime, tol: float) -> SolutionFn:
+    """Handle whose eval_batch is one pass of the half-power kernel on
+    ``cmap`` over all arguments, refused unless converged; it reads f' only."""
+    fp = vectorized(f_prime)
+
     def eval_batch(xs: np.ndarray) -> np.ndarray:
-        return kernel(np.asarray(xs, dtype=float)).converged_values(what)
+        res = fracops.generalized_half_batch(cmap, None, fp, xs, tol)
+        return res.converged_values(what)
 
     return SolutionFn(None, method, None, tol, family, eval_batch)
 
 
 def solve_gaussian_dilation(f, f_prime, tol: float = DEFAULT_TOL) -> SolutionFn:
     """u = (2/sqrt(pi)) sqrt(x d/dx) f, computed from the caller's f'."""
-    fp = vectorized(f_prime)
-    return _kernel_handle(
-        Family.GAUSSIAN_DILATION, "half power of the scale derivative",
-        "gaussian dilation kernel",
-        lambda xs: fracops.half_sqrt_xd_batch(fp, xs, tol), tol)
+    return _half_power(Family.GAUSSIAN_DILATION,
+                       "half power of the scale derivative",
+                       "gaussian dilation kernel", fracops._LOG_MAP, f_prime,
+                       tol)
 
 
 def solve_laplace_dilation(f_series: PowerSeries, mu: float) -> SolutionFn:
@@ -284,26 +280,18 @@ def solve_radial(f, f_prime, tol: float = DEFAULT_TOL) -> SolutionFn:
 
     The decay probe of ``weyl_half_radial_batch`` runs once, here; the
     handle applies the half-power kernel on the reflected radial map."""
-    fv = vectorized(f)
-    fp = vectorized(f_prime)
-    fracops._probe_decay(fv, tol)
-    return _kernel_handle(
-        Family.RADIAL, "ascending half power in w = x^2/2",
-        "radial half kernel",
-        lambda xs: fracops.generalized_half_batch(
-            fracops._REFLECTED_RADIAL_MAP, fv, fp, xs, tol), tol)
+    fracops._probe_decay(vectorized(f), tol)
+    return _half_power(Family.RADIAL, "ascending half power in w = x^2/2",
+                       "radial half kernel", fracops._REFLECTED_RADIAL_MAP,
+                       f_prime, tol)
 
 
 def solve_generalized_shift(cmap: CoordinateMap, f, f_prime,
                             tol: float = DEFAULT_TOL) -> SolutionFn:
     """u = (2/sqrt(pi)) sqrt(q(x) d/dx) f in the transported coordinate."""
-    fv = vectorized(f)
-    fp = vectorized(f_prime)
-    return _kernel_handle(
-        Family.GENERALIZED_SHIFT,
-        f"half power transported by '{cmap.name}' map",
-        "transported half kernel",
-        lambda xs: fracops.generalized_half_batch(cmap, fv, fp, xs, tol), tol)
+    return _half_power(Family.GENERALIZED_SHIFT,
+                       f"half power transported by '{cmap.name}' map",
+                       "transported half kernel", cmap, f_prime, tol)
 
 
 # -- moebius family ----------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Gamma-function utilities, Bessel-Wright series, and Stirling machinery."""
+"""Gamma-function utilities, Bessel-Wright series, and Stirling numbers."""
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, PrecisionWarning
 
@@ -19,13 +18,6 @@ def log_gamma(x: float) -> float:
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a)/Gamma(b) in the log domain; safe for arguments up to ~1e5."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"gamma_ratio requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) - math.lgamma(b))
 
 
 def recip_gamma(x: float) -> float:
@@ -71,36 +63,16 @@ def bessel_wright(n: int, mu: float, x: float, tol: float = 1e-14) -> float:
     )
 
 
-@dataclass(frozen=True)
-class StirlingTable:
-    """Triangular table of second-kind Stirling numbers S(n,k), 0 <= k <= n."""
-
-    max_n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def value(self, n: int, k: int) -> int:
-        if k > n:
-            return 0
-        return self.rows[n][k]
-
-
-def build_stirling_table(max_n: int) -> StirlingTable:
-    if not 0 <= max_n <= STIRLING_EXACT_MAX_N:
-        raise ValueError(f"max_n must lie in [0, {STIRLING_EXACT_MAX_N}]")
+def _stirling_rows(max_n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows S(n, 0..n), n <= max_n, by S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
     rows = [(1,)]
     for n in range(1, max_n + 1):
         prev = rows[-1]
-        row = [0] * (n + 1)
-        for k in range(1, n):
-            row[k] = k * prev[k] + prev[k - 1]
-        row[n] = 1
-        if n >= 1:
-            row[0] = 0
-        rows.append(tuple(row))
-    return StirlingTable(max_n, tuple(rows))
+        rows.append((0, *(k * prev[k] + prev[k - 1] for k in range(1, n)), 1))
+    return tuple(rows)
 
 
-_table = build_stirling_table(STIRLING_EXACT_MAX_N)
+_STIRLING_ROWS = _stirling_rows(STIRLING_EXACT_MAX_N)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -109,7 +81,7 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError("n and k must be non-negative")
     if n > STIRLING_EXACT_MAX_N:
         raise ValueError(f"exact range is n <= {STIRLING_EXACT_MAX_N}")
-    return _table.value(n, k)
+    return _STIRLING_ROWS[n][k] if k <= n else 0
 
 
 def stirling2_frac(nu: float, k: int) -> float:

@@ -208,26 +208,35 @@ def conjecture_check(nu: float, f: PowerSeries, x: float,
                             flagged)
 
 
+def _plain_radial(f_prime, xs: np.ndarray, tol: float):
+    """The printed closed form of the radial solution at every x in ``xs``:
+    -(2 sqrt(2)/pi) int_0^inf f'(x^2 + u^2)/sqrt(x^2 + u^2) du."""
+    pref = -2.0 * math.sqrt(2.0) / math.pi
+
+    def integrand(us, x2):
+        args = x2[None, :] + (us * us)[:, None]
+        return pref * np.asarray(f_prime(args), dtype=float) / np.sqrt(args)
+    return integrate_decaying_batch(integrand, np.square(xs), tol=tol)
+
+
 def radial_kernel_discrepancy(f, f_prime, grid: Sequence[float],
                               quad_tol: float = DEFAULT_QUAD_TOL,
                               tol: float = 1e-10) -> KernelComparison:
     """Residuals of both radial kernel readings against the same equation.
 
-    The transported kernel differentiates the profile in w = x^2/2; the plain
-    reading applies f' to the squared argument directly.  Both candidate
-    solutions are substituted into the radial equation; the reports make the
-    difference between the two readings machine-checkable (the plain one
-    fails by an O(1) margin at x = 0 for the exact Gaussian pair).
+    The transported kernel (fracops.weyl_half_radial_batch) differentiates
+    the profile in w = x^2/2; the plain reading, the printed closed form,
+    applies f' to the squared argument.  Both candidates are substituted
+    into the radial equation; the plain one fails by an O(1) margin at
+    x = 0 for the exact Gaussian pair.
     """
     spec = EquationSpec(Family.RADIAL, f=f, f_prime=f_prime)
-    reports = {}
-    for kind in ("transported", "plain"):
-        def eval_batch(xs, _kind=kind):
-            res = weyl_half_radial_batch(f, f_prime, xs, tol, kernel=_kind)
-            return res.values
-
+    reports = []
+    for kind, batch in (
+            ("transported", lambda xs: weyl_half_radial_batch(f, f_prime, xs, tol)),
+            ("plain", lambda xs: _plain_radial(f_prime, xs, tol))):
         u = SolutionFn(None, f"radial half kernel ({kind})", None, tol,
-                       Family.RADIAL, eval_batch)
-        reports[kind] = replace(residual(spec, u, grid, quad_tol),
-                                label=f"radial/{kind}")
-    return KernelComparison(reports["transported"], reports["plain"])
+                       Family.RADIAL, lambda xs, _batch=batch: _batch(xs).values)
+        reports.append(replace(residual(spec, u, grid, quad_tol),
+                               label=f"radial/{kind}"))
+    return KernelComparison(*reports)

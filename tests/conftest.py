@@ -86,6 +86,11 @@ def lgamma_ref(x: float) -> float:
     return (z - 0.5) * math.log(z) - z + _HALF_LOG_TWO_PI + series + shift
 
 
+def gamma_ratio_ref(a: float, b: float) -> float:
+    """Gamma(a)/Gamma(b) for a, b > 0 as exp(lgamma(a) - lgamma(b))."""
+    return math.exp(math.lgamma(a) - math.lgamma(b))
+
+
 def j0_ref(x: float) -> float:
     """Bessel J0 by direct series; adequate for |x| <= 8."""
     q = -0.25 * x * x

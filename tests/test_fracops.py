@@ -184,19 +184,6 @@ def test_radial_transported_recovers_gaussian(beta, x):
     assert val == pytest.approx(math.exp(-beta * x * x), abs=1e-9)
 
 
-def test_radial_plain_kernel_at_origin():
-    # the unrepaired kernel gives 1/2 instead of 1 at x = 0
-    f, fp = _pair(1.0)
-    val = weyl_half_radial(f, fp, 0.0, kernel="plain")
-    assert val == pytest.approx(0.5, abs=1e-9)
-
-
-def test_radial_kernel_name_checked():
-    f, fp = _pair(1.0)
-    with pytest.raises(ValueError):
-        weyl_half_radial(f, fp, 1.0, kernel="mystery")
-
-
 def test_radial_rejects_negative_x():
     f, fp = _pair(1.0)
     with pytest.raises(ValueError):

@@ -6,8 +6,6 @@ from fracshift.errors import PrecisionWarning
 from fracshift.specfun import (
     STIRLING_FRAC_MAX_K,
     bessel_wright,
-    build_stirling_table,
-    gamma_ratio,
     log_gamma,
     recip_gamma,
     stirling2,
@@ -20,18 +18,6 @@ from conftest import count_partitions, j0_ref, lgamma_ref
 @pytest.mark.parametrize("x", [1e-3, 0.5, 1.0, 3.7, 10.0, 41.0, 170.5])
 def test_log_gamma_vs_stirling_series(x):
     assert log_gamma(x) == pytest.approx(lgamma_ref(x), rel=1e-12, abs=1e-12)
-
-
-def test_gamma_ratio_moderate():
-    # Gamma(7.5)/Gamma(3.5) = 6.5 * 5.5 * 4.5 * 3.5
-    assert gamma_ratio(7.5, 3.5) == pytest.approx(6.5 * 5.5 * 4.5 * 3.5,
-                                                  rel=1e-13)
-
-
-def test_gamma_ratio_large_arguments():
-    # ratio of huge Gammas stays representable through the log route
-    val = gamma_ratio(301.25, 300.25)
-    assert val == pytest.approx(300.25, rel=1e-12)
 
 
 @pytest.mark.parametrize("x", [0.25, 1.0, 2.5, 41.0, 170.5])
@@ -66,11 +52,6 @@ def test_bessel_wright_offset_index():
     expect = math.fsum((-x) ** k / (math.factorial(k) * math.factorial(k + 1))
                        for k in range(25))
     assert bessel_wright(1, 1.0, x) == pytest.approx(expect, rel=1e-13)
-
-
-def test_stirling_table_bounds():
-    with pytest.raises(ValueError):
-        build_stirling_table(41)
 
 
 @pytest.mark.parametrize("n,k,expect", [(3, 2, 3), (4, 2, 7)])

@@ -1,11 +1,14 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fracshift.errors import PrecisionWarning
+from fracshift import verify
 from fracshift.fracops import log_map
+from fracshift.quadrature import DEFAULT_TOL
 from fracshift.series import PowerSeries, from_coefficient_rule
 from fracshift.solvers import EquationSpec, Family, solve
 from fracshift.verify import (
@@ -80,6 +83,21 @@ def test_residual_all_families_on_solver_output():
         rep = residual(spec, solve(spec), grid)
         assert rep.quad_failures == 0, spec.family
         assert rep.max_abs < bound, (spec.family, rep.max_abs)
+
+
+def test_residual_at_the_log_map_end_is_silent():
+    # F(0) = log 0 = -inf: the shift leaves the domain at once, the LHS is 0
+    # there, and taking F must not warn
+    fx2 = lambda x: np.asarray(x, dtype=float) ** 2
+    fx2p = lambda x: 2.0 * np.asarray(x, dtype=float)
+    spec = EquationSpec(Family.GENERALIZED_SHIFT, f=fx2, f_prime=fx2p,
+                        cmap=log_map())
+    u = solve(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = residual(spec, u, [0.0, 1.0, 2.0])
+    assert rep.quad_failures == 0
+    assert rep.max_abs <= 1e-12
 
 
 def _count_lhs_passes(monkeypatch):
@@ -181,6 +199,13 @@ def test_conjecture_domain_checks():
 
 
 # -- radial kernel comparison -------------------------------------------------
+
+def test_radial_plain_kernel_at_origin():
+    # the printed closed form gives 1/2 instead of 1 at x = 0
+    f, fp = _gauss_pair(1.0)
+    res = verify._plain_radial(fp, np.array([0.0]), DEFAULT_TOL)
+    assert res.values[0] == pytest.approx(0.5, abs=1e-9)
+
 
 def test_radial_kernel_discrepancy_pair():
     f, fp = _gauss_pair(1.0)
