@@ -125,8 +125,6 @@ def get(name: str) -> FunctionCatalogEntry:
                 coeffs = tuple(float(tok) for tok in arg.split(","))
             except ValueError:
                 raise KeyError(f"poly coefficients must be numbers, got {arg!r}")
-            if not coeffs:
-                raise KeyError("poly needs at least one coefficient")
             return _poly_entry(name, coeffs, "polynomial " + arg)
         if head == "gauss-pair":
             try:

@@ -48,7 +48,6 @@ import numpy as np
 
 from .errors import DecayWarning, DivergenceError
 from .quadrature import (
-    DEFAULT_BUDGET,
     DEFAULT_TOL,
     BatchResult,
     elementwise,
@@ -138,11 +137,10 @@ _REFLECTED_RADIAL_MAP = reflected_radial_map()
 
 
 def _at_point(batch, what: str, lead: tuple, fs: tuple, x: float,
-              tol: float, budget: int) -> float:
+              tol: float) -> float:
     """Scalar entry shared by the kernels: ``batch`` at the single point x,
     with the scalar callables ``fs`` applied elementwise."""
-    res = batch(*lead, *map(elementwise, fs), np.array([float(x)]), tol,
-                budget)
+    res = batch(*lead, *map(elementwise, fs), np.array([float(x)]), tol)
     return float(res.converged_values(what)[0])
 
 
@@ -170,7 +168,9 @@ _NEAR_ZERO = math.exp(-700.0)  # about 1e-304, still a normal float64
 def value_near_zero(f, xs) -> float:
     """max |f(x e^-700)| over ``xs`` (a float or an array), in one call of f:
     f next to 0.  NaN if f is NaN there, so a ``not value <= bound`` test
-    refuses it."""
+    refuses it; 0 for an empty ``xs``, where f is not called."""
+    if not np.size(xs):
+        return 0.0
     ys = np.asarray(f(np.multiply(xs, _NEAR_ZERO)), dtype=float)
     return float(np.max(np.abs(ys)))
 
@@ -190,8 +190,7 @@ def _probe_decay(f, tol: float) -> None:
 
 
 def xd_negpow_batch(nu: float, f: Callable[[np.ndarray], np.ndarray],
-                    xs: np.ndarray, tol: float = DEFAULT_TOL,
-                    budget: int = DEFAULT_BUDGET) -> BatchResult:
+                    xs: np.ndarray, tol: float = DEFAULT_TOL) -> BatchResult:
     """Negative fractional power applied at every x in ``xs`` at once.
 
     Uses (1/Gamma(nu+1)) int_0^inf f(x exp(-t^(1/nu))) dt, the s = t^(1/nu)
@@ -215,34 +214,32 @@ def xd_negpow_batch(nu: float, f: Callable[[np.ndarray], np.ndarray],
         damp = np.exp(-ts ** inv_nu)
         return pref * np.asarray(f(np.outer(damp, xs)), dtype=float)
 
-    return integrate_decaying_batch(integrand, xs, tol=tol, budget=budget)
+    return integrate_decaying_batch(integrand, xs, tol=tol)
 
 
 def xd_negpow(nu: float, f: Callable[[float], float], x: float,
-              tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET) -> float:
+              tol: float = DEFAULT_TOL) -> float:
     """(x d/dx)^(-nu) f at a single point x > 0."""
-    return _at_point(xd_negpow_batch, "xd_negpow", (nu,), (f,), x, tol, budget)
+    return _at_point(xd_negpow_batch, "xd_negpow", (nu,), (f,), x, tol)
 
 
 # -- (2/sqrt(pi)) (x d/dx)^(1/2) --------------------------------------------
 
 
 def half_sqrt_xd_batch(f_prime: Callable[[np.ndarray], np.ndarray],
-                       xs: np.ndarray, tol: float = DEFAULT_TOL,
-                       budget: int = DEFAULT_BUDGET) -> BatchResult:
+                       xs: np.ndarray, tol: float = DEFAULT_TOL) -> BatchResult:
     """(4/pi) int_0^inf f'(x e^-v^2) x e^-v^2 dv for every x in ``xs``: the
     half-power kernel on the log map.  Entries equal to zero give zero (the
     kernel vanishes there for admissible f with f(0) = 0)."""
-    return generalized_half_batch(_LOG_MAP, None, f_prime, xs, tol, budget)
+    return generalized_half_batch(_LOG_MAP, f_prime, xs, tol)
 
 
 def half_sqrt_xd(f_prime: Callable[[float], float], x: float,
-                 tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET) -> float:
+                 tol: float = DEFAULT_TOL) -> float:
     """(2/sqrt(pi)) (x d/dx)^(1/2) f at x > 0, from the derivative handle."""
     if not x > 0.0:
         raise ValueError("x must be positive")
-    return _at_point(half_sqrt_xd_batch, "half_sqrt_xd", (), (f_prime,), x,
-                     tol, budget)
+    return _at_point(half_sqrt_xd_batch, "half_sqrt_xd", (), (f_prime,), x, tol)
 
 
 # -- radial (ascending / Weyl direction) half power --------------------------
@@ -250,32 +247,30 @@ def half_sqrt_xd(f_prime: Callable[[float], float], x: float,
 
 def weyl_half_radial_batch(f: Callable[[np.ndarray], np.ndarray],
                            f_prime: Callable[[np.ndarray], np.ndarray],
-                           xs: np.ndarray, tol: float = DEFAULT_TOL,
-                           budget: int = DEFAULT_BUDGET) -> BatchResult:
+                           xs: np.ndarray, tol: float = DEFAULT_TOL) -> BatchResult:
     """Half power of -(1/x) d/dx against a decaying profile, batched:
     -(4/pi) int_0^inf p'(w + v^2) dv with w = x^2/2 and p(w) = f(sqrt(2w)),
     the half-power kernel on the reflected radial map; f is only probed for
-    decay.  verify.radial_kernel_discrepancy compares the printed form."""
-    _probe_decay(f, tol)
-    return generalized_half_batch(_REFLECTED_RADIAL_MAP, f, f_prime, xs, tol,
-                                  budget)
+    decay, and not for an empty ``xs``.  verify.radial_kernel_discrepancy
+    compares the printed form."""
+    if np.size(xs):
+        _probe_decay(f, tol)
+    return generalized_half_batch(_REFLECTED_RADIAL_MAP, f_prime, xs, tol)
 
 
 def weyl_half_radial(f: Callable[[float], float],
                      f_prime: Callable[[float], float], x: float,
-                     tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET) -> float:
+                     tol: float = DEFAULT_TOL) -> float:
     return _at_point(weyl_half_radial_batch, "weyl_half_radial", (),
-                     (f, f_prime), x, tol, budget)
+                     (f, f_prime), x, tol)
 
 
 # -- generalized shift generators -------------------------------------------
 
 
 def generalized_half_batch(cmap: CoordinateMap,
-                           f: Callable[[np.ndarray], np.ndarray],
                            f_prime: Callable[[np.ndarray], np.ndarray],
-                           xs: np.ndarray, tol: float = DEFAULT_TOL,
-                           budget: int = DEFAULT_BUDGET) -> BatchResult:
+                           xs: np.ndarray, tol: float = DEFAULT_TOL) -> BatchResult:
     """(2/sqrt(pi)) (q(x) d/dx)^(1/2) f, batched over ``xs``.
 
     Descending-kernel realization (4/pi) int_0^inf g'(F(x) - v^2) dv with
@@ -286,7 +281,7 @@ def generalized_half_batch(cmap: CoordinateMap,
 
     ``xs`` must lie in [lo, hi) of ``cmap.domain``.  At x = lo the integral
     is taken if F(lo) is finite (reflected radial map at 0); if F(lo) = -inf
-    (log map at 0) the value is 0 and f' is not called there.  f is unused.
+    (log map at 0) the value is 0 and f' is not called there.
     """
     xs = np.asarray(xs, dtype=float)
     lo, hi = cmap.domain
@@ -300,12 +295,13 @@ def generalized_half_batch(cmap: CoordinateMap,
             * np.asarray(cmap.q(xi), dtype=float)
 
     return integrate_decaying_batch(
-        lambda vs, ws: _shifted(cmap, g, ws, vs * vs), ws, tol=tol,
-        budget=budget)
+        lambda vs, ws: _shifted(cmap, g, ws, vs * vs), ws, tol=tol)
 
 
 def generalized_half(cmap: CoordinateMap, f: Callable[[float], float],
                      f_prime: Callable[[float], float], x: float,
-                     tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET) -> float:
+                     tol: float = DEFAULT_TOL) -> float:
+    """``generalized_half_batch`` at the single point x; f is not read (the
+    kernel takes f' only)."""
     return _at_point(generalized_half_batch, "generalized_half", (cmap,),
-                     (f, f_prime), x, tol, budget)
+                     (f_prime,), x, tol)

@@ -6,10 +6,8 @@ its range (an integrable endpoint singularity, or the algebraic decay that the
 semi-infinite map y = a + t/(1-t) turns into one) is finished by Wynn-epsilon
 extrapolation over the bisection levels towards that end, as in QUADPACK's
 QAGS/QAGI; one that stalls inside the range stops unconverged (``_adaptive``).
-Every integral over (a, inf) ends in one adaptive pass through that map, with
-no search for the support; oscillatory integrands may first be split at
-caller-supplied breakpoints (sign changes), the remainder beyond the last one
-mapped too.
+Every integral over (a, inf) is one adaptive pass through that map, with no
+search for the support and no split of the range.
 
 Tolerances are absolute, with one floor: a column is done once its error is
 within ``_REL_FLOOR`` = 100 eps of its integral of |f| (QUADPACK's resabs),
@@ -239,6 +237,8 @@ def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
     the panels' own is ``_done`` at ``tol``.
     """
     cols = np.asarray(cols)
+    if not len(cols):  # fv is not called
+        return BatchResult(np.zeros(0), np.zeros(0), 0, True)
     live = np.arange(len(cols))  # the columns still refined
     banked = np.zeros((3, len(cols)))  # per column: value, error, |f| integral
     live_cols = cols
@@ -443,39 +443,14 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
 
 def integrate_semi_infinite(f: Callable[[float], float], a: float = 0.0,
                             tol: float = DEFAULT_TOL,
-                            budget: int = DEFAULT_BUDGET,
-                            breakpoints: Sequence[float] | None = None) -> QuadratureResult:
-    """Integrate f over (a, inf).
-
-    The range beyond a (or beyond the last of the ``breakpoints``) is mapped
-    to (0,1) by y = a + t/(1-t).  For oscillatory integrands the caller may
-    supply the sign-change abscissae as ``breakpoints`` (ascending, > a); the
-    segment integrals between them are summed directly and the mapped tail
-    adds the remainder; the sum has converged when every part has.
-    """
+                            budget: int = DEFAULT_BUDGET) -> QuadratureResult:
+    """Integrate f over (a, inf) in one adaptive pass of the map
+    y = a + t/(1-t) onto (0, 1)."""
     if not math.isfinite(a):
         raise ValueError("lower limit must be finite")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    fv = _one_column(f)
-    if not breakpoints:
-        return _to_scalar(_mapped_tail(fv, _ONE_COLUMN, a, tol, budget))
-
-    pts = [a] + sorted(float(b) for b in breakpoints)
-    if pts[1] <= a:
-        raise ValueError("breakpoints must exceed the lower limit")
-    seg_tol = tol / (2.0 * (len(pts) - 1))
-    parts: list[BatchResult] = []
-    evals = 0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        parts.append(_adaptive(fv, _ONE_COLUMN, lo, hi, seg_tol, budget - evals))
-        evals += parts[-1].evaluations
-    parts.append(_mapped_tail(fv, _ONE_COLUMN, pts[-1], tol / 2.0, budget - evals))
-    evals += parts[-1].evaluations
-    value = sum(float(r.values[0]) for r in parts)
-    err = sum(float(r.errors[0]) for r in parts)
-    ok = all(r.converged for r in parts)
-    return QuadratureResult(value, max(err, _ERR_FLOOR), evals, ok)
+    return _to_scalar(_mapped_tail(_one_column(f), _ONE_COLUMN, a, tol, budget))
 
 
 # -- batch API used by the operator kernels ----------------------------------

@@ -114,40 +114,42 @@ def _shift_integrand(cmap: CoordinateMap, ev):
     return integrand
 
 
-# Solvers are looked up by name at call time, so rebinding a module-level
-# solve_* (for instance to trace it) also reroutes solve().
+# The solvers take an admitted EquationSpec; the public solve_* build one.
 FAMILIES: dict[Family, FamilyDef] = {
     Family.GAUSSIAN_DILATION: FamilyDef(
         ("f", "f_prime"),
-        lambda spec, tol: solve_gaussian_dilation(spec.f, spec.f_prime, tol),
+        lambda spec, tol: _half_power(spec, "half power of the scale derivative",
+                                      "gaussian dilation kernel",
+                                      fracops._LOG_MAP, tol),
         lambda spec, ev: lambda ys, xs: ev(np.outer(np.exp(-ys * ys), xs)),
         1e-6, "geom:0.1:5:25", positive=(), vanishes_at_zero=_always,
         upper=None,
     ),
     Family.LAPLACE_DILATION: FamilyDef(
         ("f_series", "mu"),
-        lambda spec, tol: solve_laplace_dilation(spec.f_series, spec.mu),
+        lambda spec, tol: _solve_laplace(spec),
         _laplace_integrand,
         1e-7, "geom:0.1:3:15", positive=("mu",), vanishes_at_zero=_never,
         upper=None,
     ),
     Family.RADIAL: FamilyDef(
         ("f", "f_prime"),
-        lambda spec, tol: solve_radial(spec.f, spec.f_prime, tol),
+        lambda spec, tol: _solve_radial(spec, tol),
         lambda spec, ev: _shift_integrand(fracops._REFLECTED_RADIAL_MAP, ev),
         1e-6, "0:3:13", positive=(), vanishes_at_zero=_never, upper=None,
     ),
     Family.GENERALIZED_SHIFT: FamilyDef(
         ("f", "f_prime", "cmap"),
-        lambda spec, tol: solve_generalized_shift(spec.cmap, spec.f,
-                                                  spec.f_prime, tol),
+        lambda spec, tol: _half_power(
+            spec, f"half power transported by '{spec.cmap.name}' map",
+            "transported half kernel", spec.cmap, tol),
         lambda spec, ev: _shift_integrand(spec.cmap, ev),
         1e-6, "geom:0.1:5:25", positive=(),
         vanishes_at_zero=_map_descends_at_zero, upper=None,
     ),
     Family.MOEBIUS: FamilyDef(
         ("f", "f_prime", "a"),
-        lambda spec, tol: solve_moebius(spec.f, spec.f_prime, spec.a, tol),
+        lambda spec, tol: _solve_moebius(spec, tol),
         lambda spec, ev: lambda ys, xs: ev(
             xs[None, :] / (1.0 + np.outer(ys, xs))),
         1e-5, "geom:0.1:3:15", positive=("a",), vanishes_at_zero=_always,
@@ -161,7 +163,8 @@ class EquationSpec:
     """One equation instance: a family tag, its data f, and parameters.
 
     Construction checks the fields FAMILIES[family] requires and their
-    values (f(0) = 0 is probed as |f(e^-700)| < 1e-6).
+    values (f(0) = 0 is probed as |f(e^-700)| < 1e-6).  This is the only
+    admission check: the public solve_* build a spec too.
     """
 
     family: Family
@@ -181,8 +184,12 @@ class EquationSpec:
         for key in fam.positive:
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"{name} family needs {key} > 0")
-        if fam.vanishes_at_zero(self):
-            _check_vanishes_at_zero(self.f)
+        if fam.vanishes_at_zero(self) and \
+                not fracops.value_near_zero(self.f, 1.0) < 1e-6:
+            raise ValueError(
+                "f(0) must vanish: the generator annihilates constants, so a "
+                "constant component of f is unreachable"
+            )
 
     def rhs(self, x: float) -> float:
         if self.f is not None:
@@ -219,33 +226,23 @@ class SolutionFn:
         return self.eval(x)
 
 
-def _check_vanishes_at_zero(f) -> None:
-    if not fracops.value_near_zero(f, 1.0) < 1e-6:
-        raise ValueError(
-            "f(0) must vanish: the generator annihilates constants, so a "
-            "constant component of f is unreachable"
-        )
-
-
-def _half_power(family: Family, method: str, what: str, cmap: CoordinateMap,
-                f_prime, tol: float) -> SolutionFn:
+def _half_power(spec: EquationSpec, method: str, what: str,
+                cmap: CoordinateMap, tol: float) -> SolutionFn:
     """Handle whose eval_batch is one pass of the half-power kernel on
     ``cmap`` over all arguments, refused unless converged; it reads f' only."""
-    fp = vectorized(f_prime)
+    fp = vectorized(spec.f_prime)
 
     def eval_batch(xs: np.ndarray) -> np.ndarray:
-        res = fracops.generalized_half_batch(cmap, None, fp, xs, tol)
+        res = fracops.generalized_half_batch(cmap, fp, xs, tol)
         return res.converged_values(what)
 
-    return SolutionFn(None, method, None, tol, family, eval_batch)
+    return SolutionFn(None, method, None, tol, spec.family, eval_batch)
 
 
 def solve_gaussian_dilation(f, f_prime, tol: float = DEFAULT_TOL) -> SolutionFn:
     """u = (2/sqrt(pi)) sqrt(x d/dx) f, computed from the caller's f'."""
-    return _half_power(Family.GAUSSIAN_DILATION,
-                       "half power of the scale derivative",
-                       "gaussian dilation kernel", fracops._LOG_MAP, f_prime,
-                       tol)
+    return solve(EquationSpec(Family.GAUSSIAN_DILATION, f=f, f_prime=f_prime),
+                 tol)
 
 
 def solve_laplace_dilation(f_series: PowerSeries, mu: float) -> SolutionFn:
@@ -254,13 +251,17 @@ def solve_laplace_dilation(f_series: PowerSeries, mu: float) -> SolutionFn:
     mu = 1 turns exp(-x) into the J0(2 sqrt(x)) series; integer mu = m gives
     the order-0 Bessel-Wright series with gamma step m.
     """
-    if not mu > 0.0:
-        raise ValueError("mu must be positive")
+    return solve(EquationSpec(Family.LAPLACE_DILATION, f_series=f_series,
+                              mu=mu))
+
+
+def _solve_laplace(spec: EquationSpec) -> SolutionFn:
+    mu = spec.mu
     inv_gamma = SpectralMultiplier(
         lambda n: recip_gamma(mu * n + 1.0), 0.0,
         f"inv-gamma(step={mu:g})",
     )
-    u_series = apply_multiplier(inv_gamma, f_series)
+    u_series = apply_multiplier(inv_gamma, spec.f_series)
     coeffs = u_series.coeffs
 
     def eval_batch(xs: np.ndarray) -> np.ndarray:
@@ -278,20 +279,22 @@ def solve_laplace_dilation(f_series: PowerSeries, mu: float) -> SolutionFn:
 def solve_radial(f, f_prime, tol: float = DEFAULT_TOL) -> SolutionFn:
     """u = -(2/sqrt(pi)) sqrt(-(1/x) d/dx) f via the ascending half kernel.
 
-    The decay probe of ``weyl_half_radial_batch`` runs once, here; the
-    handle applies the half-power kernel on the reflected radial map."""
-    fracops._probe_decay(vectorized(f), tol)
-    return _half_power(Family.RADIAL, "ascending half power in w = x^2/2",
-                       "radial half kernel", fracops._REFLECTED_RADIAL_MAP,
-                       f_prime, tol)
+    The decay probe of ``weyl_half_radial_batch`` runs once, at solve time;
+    the handle applies the half-power kernel on the reflected radial map."""
+    return solve(EquationSpec(Family.RADIAL, f=f, f_prime=f_prime), tol)
+
+
+def _solve_radial(spec: EquationSpec, tol: float) -> SolutionFn:
+    fracops._probe_decay(vectorized(spec.f), tol)
+    return _half_power(spec, "ascending half power in w = x^2/2",
+                       "radial half kernel", fracops._REFLECTED_RADIAL_MAP, tol)
 
 
 def solve_generalized_shift(cmap: CoordinateMap, f, f_prime,
                             tol: float = DEFAULT_TOL) -> SolutionFn:
     """u = (2/sqrt(pi)) sqrt(q(x) d/dx) f in the transported coordinate."""
-    return _half_power(Family.GENERALIZED_SHIFT,
-                       f"half power transported by '{cmap.name}' map",
-                       "transported half kernel", cmap, f_prime, tol)
+    return solve(EquationSpec(Family.GENERALIZED_SHIFT, f=f, f_prime=f_prime,
+                              cmap=cmap), tol)
 
 
 # -- moebius family ----------------------------------------------------------
@@ -350,13 +353,15 @@ def moebius_partial_sum(f, f_prime, a: float, xs: np.ndarray,
 
 
 def solve_moebius(f, f_prime, a: float, tol: float = DEFAULT_TOL) -> SolutionFn:
-    if not a > 0.0:
-        raise ValueError("a must be positive")
+    return solve(EquationSpec(Family.MOEBIUS, f=f, f_prime=f_prime, a=a), tol)
+
+
+def _solve_moebius(spec: EquationSpec, tol: float) -> SolutionFn:
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    _check_vanishes_at_zero(f)
-    fv = vectorized(f)
-    fp = vectorized(f_prime)
+    a = spec.a
+    fv = vectorized(spec.f)
+    fp = vectorized(spec.f_prime)
 
     def converge(xs: np.ndarray):
         terms = _ShiftTerms(fv, fp, a, xs)
@@ -365,7 +370,7 @@ def solve_moebius(f, f_prime, a: float, tol: float = DEFAULT_TOL) -> SolutionFn:
         while True:
             K2 = 2 * K
             cur = terms.partial_sum(K2)
-            diff = float(np.max(np.abs(cur - prev)))
+            diff = float(np.max(np.abs(cur - prev), initial=0.0))
             if diff <= tol:
                 return cur, K, diff
             if K2 >= _K_CAP:

@@ -28,12 +28,7 @@ from .errors import (
     QuadratureDomainError,
 )
 from .fracops import weyl_half_radial_batch
-from .quadrature import (
-    DEFAULT_BUDGET,
-    elementwise,
-    integrate_decaying_batch,
-    integrate_finite_batch,
-)
+from .quadrature import elementwise, integrate_decaying_batch, integrate_finite_batch
 from .series import PowerSeries
 from .solvers import FAMILIES, EquationSpec, Family, SolutionFn
 from .specfun import STIRLING_FRAC_MAX_K, stirling2_frac
@@ -113,20 +108,19 @@ def _evaluator(u) -> Callable[[np.ndarray], np.ndarray]:
     return ev
 
 
-def _lhs_pass(spec: EquationSpec, u, xs: np.ndarray, tol: float,
-              budget: int):
+def _lhs_pass(spec: EquationSpec, u, xs: np.ndarray, tol: float):
     """One adaptive pass computing the family LHS at every grid point."""
     fam = FAMILIES[spec.family]
     integrand = fam.integrand(spec, _evaluator(u))
     if fam.upper is None:
-        return integrate_decaying_batch(integrand, xs, tol=tol, budget=budget)
+        return integrate_decaying_batch(integrand, xs, tol=tol)
     return integrate_finite_batch(integrand, xs, 0.0, getattr(spec, fam.upper),
-                                  tol=tol, budget=budget)
+                                  tol=tol)
 
 
-def _lhs_values(spec, u, xs, tol, budget):
+def _lhs_values(spec, u, xs, tol):
     try:
-        res = _lhs_pass(spec, u, xs, tol, budget)
+        res = _lhs_pass(spec, u, xs, tol)
         return np.asarray(res.values, dtype=float), np.asarray(res.errors,
                                                                dtype=float)
     except _QUAD_ERRORS:
@@ -134,15 +128,14 @@ def _lhs_values(spec, u, xs, tol, budget):
             return np.array([math.nan]), np.array([math.inf])
     # One grid point poisoned the shared pass; redo pointwise so the failure
     # stays local.
-    parts = [_lhs_values(spec, u, xs[i:i + 1], tol, budget)
+    parts = [_lhs_values(spec, u, xs[i:i + 1], tol)
              for i in range(len(xs))]
     return (np.concatenate([v for v, _ in parts]),
             np.concatenate([e for _, e in parts]))
 
 
 def residual(spec: EquationSpec, u, grid: Sequence[float],
-             quad_tol: float = DEFAULT_QUAD_TOL,
-             budget: int = DEFAULT_BUDGET) -> ResidualReport:
+             quad_tol: float = DEFAULT_QUAD_TOL) -> ResidualReport:
     """Substitute u into the family equation and report |LHS - f| per point.
 
     The LHS quadrature runs at quad_tol/10 so its own error stays an order
@@ -153,7 +146,7 @@ def residual(spec: EquationSpec, u, grid: Sequence[float],
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("grid must be a non-empty 1-d sequence")
     rhs = np.array([spec.rhs(float(x)) for x in xs])
-    lhs, errs = _lhs_values(spec, u, xs, quad_tol / 10.0, budget)
+    lhs, errs = _lhs_values(spec, u, xs, quad_tol / 10.0)
 
     failed = ~np.isfinite(lhs) | (errs > quad_tol)
     resid = np.abs(lhs - rhs)
@@ -219,17 +212,18 @@ def _plain_radial(f_prime, xs: np.ndarray, tol: float):
     return integrate_decaying_batch(integrand, np.square(xs), tol=tol)
 
 
-def radial_kernel_discrepancy(f, f_prime, grid: Sequence[float],
-                              quad_tol: float = DEFAULT_QUAD_TOL,
-                              tol: float = 1e-10) -> KernelComparison:
+def radial_kernel_discrepancy(f, f_prime,
+                              grid: Sequence[float]) -> KernelComparison:
     """Residuals of both radial kernel readings against the same equation.
 
     The transported kernel (fracops.weyl_half_radial_batch) differentiates
     the profile in w = x^2/2; the plain reading, the printed closed form,
-    applies f' to the squared argument.  Both candidates are substituted
-    into the radial equation; the plain one fails by an O(1) margin at
-    x = 0 for the exact Gaussian pair.
+    applies f' to the squared argument.  Both candidates are computed at
+    tol 1e-10 and substituted into the radial equation at the default
+    quad_tol; the plain one fails by an O(1) margin at x = 0 for the exact
+    Gaussian pair.
     """
+    tol = 1e-10
     spec = EquationSpec(Family.RADIAL, f=f, f_prime=f_prime)
     reports = []
     for kind, batch in (
@@ -237,6 +231,6 @@ def radial_kernel_discrepancy(f, f_prime, grid: Sequence[float],
             ("plain", lambda xs: _plain_radial(f_prime, xs, tol))):
         u = SolutionFn(None, f"radial half kernel ({kind})", None, tol,
                        Family.RADIAL, lambda xs, _batch=batch: _batch(xs).values)
-        reports.append(replace(residual(spec, u, grid, quad_tol),
+        reports.append(replace(residual(spec, u, grid),
                                label=f"radial/{kind}"))
     return KernelComparison(*reports)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fracshift
+from fracshift import cli
 
 # The child imports the same fracshift as this process, installed or not.
 _PATH = os.pathsep.join(filter(None, [str(Path(fracshift.__file__).parents[1]),
@@ -202,3 +203,35 @@ def test_moebius_rejects_nonvanishing_data(argv):
 def test_laplace_needs_series_form():
     proc = run_cli("solve", "laplace", "--f", "gauss", "--grid", "0.1:1:3")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("geom:1:2", "geometric grid needs geom:a:b:n"),
+    ("geom:1:2:0", "grid needs at least one point"),
+    ("geom:0:2:3", "geometric grid endpoints must be positive"),
+    ("0:1:0", "grid needs at least one point"),
+])
+def test_parse_grid_refusals(text, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        cli.parse_grid(text)
+
+
+@pytest.mark.parametrize("args, fragment", [
+    (["--nu", "1.5,x"], "--nu needs a comma-separated float list"),
+    (["--nu", ","], "--nu needs at least one value"),
+    (["--samples", "1"], "--samples must be at least 2"),
+    (["--x-max", "0"], "--x-max must be positive"),
+])
+def test_fig1_usage_errors(args, fragment, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fig1", *args])
+    assert exc.value.code == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_conjecture_notes_constant_term(capsys):
+    rc = cli.main(["conjecture", "--nu", "0.5", "--f", "poly:1,1", "--x", "0.5",
+                   "--K", "10"])
+    out = capsys.readouterr().out
+    assert "note: nonzero constant term excluded on both sides" in out
+    assert rc == 0

@@ -17,7 +17,21 @@ from fracshift.fracops import (
     xd_negpow,
     xd_negpow_batch,
 )
-from fracshift.solvers import EquationSpec, Family
+from fracshift.quadrature import (
+    integrate_decaying_batch,
+    integrate_finite_batch,
+    integrate_semi_infinite_batch,
+)
+from fracshift.series import PowerSeries
+from fracshift.solvers import (
+    EquationSpec,
+    Family,
+    solve_gaussian_dilation,
+    solve_generalized_shift,
+    solve_laplace_dilation,
+    solve_moebius,
+    solve_radial,
+)
 
 from conftest import simpson_decaying
 
@@ -243,7 +257,7 @@ def test_generalized_reflected_map_takes_lower_end():
     beta = 1.3
     f, fp = _pair(beta)
     xs = np.array([0.0, 0.7])
-    res = generalized_half_batch(reflected_radial_map(), f, fp, xs)
+    res = generalized_half_batch(reflected_radial_map(), fp, xs)
     assert res.converged
     assert res.values == pytest.approx(np.exp(-beta * xs * xs), abs=1e-9)
 
@@ -260,8 +274,7 @@ def test_generalized_log_map_is_zero_at_lower_end():
         zeros.append(int(np.count_nonzero(t == 0.0)))
         return 3.0 * t ** 2
 
-    res = generalized_half_batch(log_map(), lambda t: np.asarray(t) ** 3, fp,
-                                 np.array([0.0, 1.0]))
+    res = generalized_half_batch(log_map(), fp, np.array([0.0, 1.0]))
     assert res.converged
     assert res.values[0] == 0.0
     assert res.values[1] == pytest.approx(
@@ -283,7 +296,59 @@ def test_generalized_batch_matches_scalar():
         return np.ones_like(np.asarray(t, dtype=float))
 
     xs = np.array([0.5, 1.0, 3.0])
-    res = generalized_half_batch(log_map(), f, fp, xs)
+    res = generalized_half_batch(log_map(), fp, xs)
     for x, v in zip(xs, res.values):
         assert v == pytest.approx(generalized_half(log_map(), f, fp,
                                                    float(x)), rel=1e-11)
+
+
+def _counted(calls):
+    """x^2 and its derivative, each call recorded in ``calls``."""
+    def f(x):
+        calls.append("f")
+        return np.asarray(x, dtype=float) ** 2
+
+    def fp(x):
+        calls.append("fp")
+        return 2.0 * np.asarray(x, dtype=float)
+    return f, fp
+
+
+_EMPTY_CALLS = {
+    "gaussian handle": lambda f, fp: solve_gaussian_dilation(f, fp).eval_batch,
+    "laplace handle": lambda f, fp: solve_laplace_dilation(
+        PowerSeries([0.0, 1.0]), 1.0).eval_batch,
+    "radial handle": lambda f, fp: solve_radial(
+        lambda x: np.exp(-np.square(x)), fp).eval_batch,
+    "genshift handle": lambda f, fp: solve_generalized_shift(
+        log_map(), f, fp).eval_batch,
+    "moebius handle": lambda f, fp: solve_moebius(f, fp, 1.0).eval_batch,
+    "xd_negpow_batch": lambda f, fp: lambda xs: xd_negpow_batch(0.5, f, xs),
+    "half_sqrt_xd_batch": lambda f, fp: lambda xs: half_sqrt_xd_batch(fp, xs),
+    "weyl_half_radial_batch":
+        lambda f, fp: lambda xs: weyl_half_radial_batch(f, fp, xs),
+    "generalized_half_batch":
+        lambda f, fp: lambda xs: generalized_half_batch(log_map(), fp, xs),
+    "integrate_finite_batch":
+        lambda f, fp: lambda xs: integrate_finite_batch(
+            lambda t, c: f(np.outer(t, c)), xs, 0.0, 1.0),
+    "integrate_semi_infinite_batch":
+        lambda f, fp: lambda xs: integrate_semi_infinite_batch(
+            lambda t, c: f(np.outer(t, c)), xs),
+    "integrate_decaying_batch":
+        lambda f, fp: lambda xs: integrate_decaying_batch(
+            lambda t, c: f(np.outer(t, c)), xs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EMPTY_CALLS))
+def test_empty_arguments_give_empty_result(name):
+    calls = []
+    run = _EMPTY_CALLS[name](*_counted(calls))  # solvers may probe the data
+    calls.clear()
+    out = run(np.array([]))
+    values = getattr(out, "values", out)
+    assert np.shape(values) == (0,)
+    if hasattr(out, "converged"):
+        assert out.converged and out.evaluations == 0
+    assert calls == []

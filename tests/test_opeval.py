@@ -231,3 +231,8 @@ def test_eval_I_rejects_raising_symbol():
 def test_eval_I_rejects_nonfinite_symbol():
     with pytest.raises(ValueError, match="non-finite"):
         eval_I(_gauss_probe(), lambda mu: math.inf, 1.0)
+
+
+def test_series_refuses_nonpositive_tol():
+    with pytest.raises(ValueError, match="tol must be positive"):
+        eval_F_series(1.0, 1.5, tol=0.0)

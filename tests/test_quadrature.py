@@ -193,8 +193,7 @@ def test_cancelling_integral_stops_at_rounding():
     # about 6e6, and the rounding floor of the panels is judged against the
     # latter, so the oscillating tail settles instead of spending the budget
     res = integrate_semi_infinite(
-        lambda t: 1e6 * math.sin(t) * math.exp(-t / 10.0), 0.0, 1e-10,
-        breakpoints=[k * math.pi for k in range(1, 6)])
+        lambda t: 1e6 * math.sin(t) * math.exp(-t / 10.0), 0.0, 1e-10)
     true_err = abs(res.value - 1e6 / 1.01)
     assert res.converged
     assert res.evaluations < 10_000
@@ -478,3 +477,18 @@ def test_unsolvable_residual_fails_fast():
     rep = residual(spec, solve(spec), np.linspace(0.5, 2.5, 5))
     assert rep.quad_failures == 5
     assert sum(points) < 250_000
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: integrate_finite(math.exp, 1.0, 1.0), "need finite a < b"),
+    (lambda: integrate_finite(math.exp, 0.0, math.inf), "need finite a < b"),
+    (lambda: integrate_finite(math.exp, 0.0, 1.0, tol=0.0), "tol must be positive"),
+    (lambda: integrate_semi_infinite(math.exp, -math.inf),
+     "lower limit must be finite"),
+    (lambda: integrate_semi_infinite(math.exp, 0.0, tol=-1.0), "tol must be positive"),
+    (lambda: integrate_finite_batch(lambda x, c: x, [1.0], 2.0, 1.0),
+     "need finite a < b"),
+])
+def test_bad_range_or_tol_is_refused(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

@@ -134,3 +134,14 @@ def test_derivative_drops_constants():
     s = PowerSeries((4.0, 2.0, 1.0))
     assert tuple(derivative(s, 1).coeffs) == (2.0, 2.0)
     assert tuple(derivative(s, 3).coeffs) == (0.0,)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: PowerSeries(()), "non-empty"),
+    (lambda: from_coefficient_rule(lambda n: 1.0, -1), "order must be >= 0"),
+    (lambda: from_coefficient_rule(lambda n: math.inf if n == 2 else 1.0, 4),
+     "non-finite value at n=2"),
+])
+def test_series_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracshift.errors import PrecisionWarning
+from fracshift.errors import ConvergenceError, PrecisionWarning
 from fracshift.fracops import log_map, reflected_radial_map
 from fracshift.series import PowerSeries, evaluate, from_coefficient_rule
 from fracshift.solvers import (
@@ -14,6 +14,7 @@ from fracshift.solvers import (
     moebius_partial_sum,
     solve,
     solve_gaussian_dilation,
+    solve_generalized_shift,
     solve_laplace_dilation,
     solve_moebius,
     solve_radial,
@@ -66,6 +67,47 @@ def test_spec_genshift_checks_the_descending_end():
     fp = lambda x: -2.0 * np.asarray(x, dtype=float) * f(x)
     EquationSpec(Family.GENERALIZED_SHIFT, f=f, f_prime=fp,
                  cmap=reflected_radial_map())
+
+
+@pytest.mark.parametrize("solver", [
+    solve_gaussian_dilation,
+    lambda f, fp: solve_generalized_shift(log_map(), f, fp),
+], ids=["gaussian", "genshift-log"])
+def test_direct_solvers_refuse_nonvanishing_data(solver):
+    # 1 + x^2 has the same derivative as x^2, so without the check the
+    # solution for x^2 would come back for it
+    with pytest.raises(ValueError, match=r"f\(0\) must vanish"):
+        solver(lambda x: 1.0 + np.square(x), lambda x: 2.0 * _identity(x))
+
+
+@pytest.mark.parametrize("solver", [
+    solve_radial,
+    lambda f, fp: solve_generalized_shift(reflected_radial_map(), f, fp),
+], ids=["radial", "genshift-rr"])
+def test_direct_solvers_keep_data_nonzero_at_origin(solver):
+    # f = A exp(-x^2), A = sqrt(pi/8), whose radial solution is exp(-x^2)
+    amp = 0.5 * math.sqrt(math.pi / 2.0)
+    u = solver(lambda x: amp * np.exp(-np.square(x)),
+               lambda x: -2.0 * amp * _identity(x) * np.exp(-np.square(x)))
+    assert u(0.5) == pytest.approx(math.exp(-0.25), rel=1e-9)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: solve_laplace_dilation(PowerSeries((0.0, 1.0)), 0.0),
+     ValueError, "needs mu > 0"),
+    (lambda: solve_moebius(_identity, _one, 0.0), ValueError, "needs a > 0"),
+    (lambda: solve_moebius(_identity, _one, 1.0, tol=0.0),
+     ValueError, "tol must be positive"),
+    (lambda: solve_moebius(_identity, _one, 1.0).eval_batch(np.array([-1.0])),
+     ValueError, "arguments must be >= 0"),
+    # f = x sin(1/x): the terms h(x_k) oscillate and decay like 1/k
+    (lambda: solve_moebius(lambda x: x * np.sin(1.0 / x),
+                           lambda x: np.sin(1.0 / x) - np.cos(1.0 / x) / x, 1.0),
+     ConvergenceError, "cap K=131072"),
+])
+def test_solver_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
 
 
 def test_spec_genshift_needs_map():

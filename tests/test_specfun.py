@@ -109,3 +109,15 @@ def test_stirling2_frac_cancellation_warning():
     # far out along the row the alternating sum loses digits and must say so
     with pytest.warns(PrecisionWarning):
         stirling2_frac(0.5, 55)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: log_gamma(0.0), "log_gamma requires x > 0"),
+    (lambda: recip_gamma(-1.0), "recip_gamma requires x > 0"),
+    (lambda: bessel_wright(-1, 1.0, 0.5), "n must be >= 0"),
+    (lambda: bessel_wright(0, 0.0, 0.5), "mu must be positive"),
+    (lambda: stirling2_frac(0.5, -1), "k must be >= 0"),
+])
+def test_specfun_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

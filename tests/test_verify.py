@@ -215,3 +215,9 @@ def test_radial_kernel_discrepancy_pair():
     assert cmp.plain.residuals[0] >= 0.1  # defect at x = 0
     assert cmp.transported.label == "radial/transported"
     assert cmp.plain.label == "radial/plain"
+
+
+def test_residual_refuses_empty_grid():
+    spec = EquationSpec(Family.GAUSSIAN_DILATION, f=_identity, f_prime=_one)
+    with pytest.raises(ValueError, match="grid must be a non-empty"):
+        residual(spec, _identity, [])
