@@ -251,10 +251,8 @@ def weyl_half_radial_batch(f: Callable[[np.ndarray], np.ndarray],
     """Half power of -(1/x) d/dx against a decaying profile, batched:
     -(4/pi) int_0^inf p'(w + v^2) dv with w = x^2/2 and p(w) = f(sqrt(2w)),
     the half-power kernel on the reflected radial map; f is only probed for
-    decay, and not for an empty ``xs``.  verify.radial_kernel_discrepancy
-    compares the printed form."""
-    if np.size(xs):
-        _probe_decay(f, tol)
+    decay.  verify.radial_kernel_discrepancy compares the printed form."""
+    _probe_decay(f, tol)
     return generalized_half_batch(_REFLECTED_RADIAL_MAP, f_prime, xs, tol)
 
 

@@ -10,8 +10,8 @@ closed-form moment in the spectral index.
 
       F = (sqrt(pi)/2) sum_n (-1)^n x^(2n+1)/(2n+1)! * G((2n+1)nu - 1/2)/G((2n+1)nu).
 
-  The series is primary for |x| <= 10; one mapped adaptive pass over the
-  defining integral is the independent path.
+  The series is primary for |x| <= 10; an adaptive quadrature of the defining
+  integral (split at the sign changes of the sine) is the independent path.
   Both require nu > 1/2: at nu = 1/2 the integrand decays like 1/t and the
   integral diverges (the n = 0 moment hits the Gamma pole).
 
@@ -178,10 +178,13 @@ def eval_F_series(x: float, nu: float, tol: float = 1e-14) -> FSeriesResult:
 
 def eval_F_quadrature(x: float, nu: float,
                       tol: float = 1e-10) -> QuadratureResult:
-    """Direct adaptive value of int_0^inf sin(x (1+t^2)^(-nu)) dt: one
-    mapped pass over the whole range at tol/2.  At tol itself the pass
-    claims convergence on some far cases whose values are off by more
-    (x = 26.3, nu = 0.718, tol = 1e-12: off by 1.3e-11)."""
+    """Direct adaptive value of int_0^inf sin(x (1+t^2)^(-nu)) dt.
+
+    The sine argument decreases monotonically from x to 0, so its zero
+    crossings kpi < x sit at t = sqrt((x/(kpi))^(1/nu) - 1); the segments
+    between them take tol/(2n) each, the one-signed remainder beyond the last
+    one mapped pass at tol/2, and the sum has converged when every part has.
+    """
     _check_nu(nu)
     if x == 0.0:
         return QuadratureResult(0.0, 0.0, 0, True)
@@ -191,9 +194,28 @@ def eval_F_quadrature(x: float, nu: float,
     def integrand(t: float) -> float:
         return math.sin(ax * (1.0 + t * t) ** (-nu))
 
-    res = integrate_semi_infinite(integrand, 0.0, 0.5 * tol)
-    return QuadratureResult(sign_x * res.value, res.abs_error_estimate,
-                            res.evaluations, res.converged)
+    pts = []
+    k = 1
+    while k * math.pi < ax:
+        r = (ax / (k * math.pi)) ** (1.0 / nu) - 1.0
+        if r > 0.0:
+            pts.append(math.sqrt(r))
+        k += 1
+    pts.sort()
+    parts = []
+    evals = 0
+    for lo, hi in zip([0.0] + pts, pts):
+        parts.append(quadrature.integrate_finite(
+            integrand, lo, hi, tol / (2.0 * len(pts)),
+            quadrature.DEFAULT_BUDGET - evals))
+        evals += parts[-1].evaluations
+    parts.append(integrate_semi_infinite(integrand, pts[-1] if pts else 0.0,
+                                         tol / 2.0 if pts else tol,
+                                         quadrature.DEFAULT_BUDGET - evals))
+    evals += parts[-1].evaluations
+    return QuadratureResult(sign_x * sum(p.value for p in parts),
+                            sum(p.abs_error_estimate for p in parts), evals,
+                            all(p.converged for p in parts))
 
 
 def eval_F(x: float, nu: float, tol: float = 1e-14) -> float:

@@ -325,8 +325,9 @@ _EMPTY_CALLS = {
     "moebius handle": lambda f, fp: solve_moebius(f, fp, 1.0).eval_batch,
     "xd_negpow_batch": lambda f, fp: lambda xs: xd_negpow_batch(0.5, f, xs),
     "half_sqrt_xd_batch": lambda f, fp: lambda xs: half_sqrt_xd_batch(fp, xs),
-    "weyl_half_radial_batch":
-        lambda f, fp: lambda xs: weyl_half_radial_batch(f, fp, xs),
+    "weyl_half_radial_batch":  # its decay probe samples f whatever xs holds
+        lambda f, fp: lambda xs: weyl_half_radial_batch(
+            lambda x: np.exp(-np.square(x)), fp, xs),
     "generalized_half_batch":
         lambda f, fp: lambda xs: generalized_half_batch(log_map(), fp, xs),
     "integrate_finite_batch":

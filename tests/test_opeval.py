@@ -93,6 +93,18 @@ def test_F_dispatcher_large_x_uses_quadrature():
     assert eval_F(x, nu) == pytest.approx(ref, abs=1e-9)
 
 
+def test_F_far_low_nu_draw():
+    # F(13.732..., 0.7252...) by the sine-moment series summed in 80-digit
+    # arithmetic; at 1e-12 the sine-zero segments do not settle, so eval_F
+    # refuses rather than answer
+    x, nu, ref = 13.732286170732126, 0.7252230183435544, 15.66480845797576140
+    res = eval_F_quadrature(x, nu, 1e-10)
+    assert res.converged
+    assert abs(res.value - ref) <= 1e-13
+    with pytest.raises(ConvergenceError):
+        eval_F(x, nu)
+
+
 def test_F_quadrature_below_rounding_fails_fast():
     # tol 1e-12 on a tail worth ~224 is below float64 rounding: the pass
     # stops after a few bisections that settle nothing, not at the budget
