@@ -50,6 +50,7 @@ from .errors import DecayWarning, DivergenceError
 from .quadrature import (
     DEFAULT_TOL,
     BatchResult,
+    _check_tol,
     elementwise,
     integrate_decaying_batch,
 )
@@ -201,6 +202,7 @@ def xd_negpow_batch(nu: float, f: Callable[[np.ndarray], np.ndarray],
     xs = np.asarray(xs, dtype=float)
     if not (xs > 0.0).all():
         raise ValueError("arguments must be positive")
+    _check_tol(tol)  # before the probe, which is judged against tol
     probe = value_near_zero(f, xs)
     if not probe <= tol:
         raise DivergenceError(
@@ -252,6 +254,7 @@ def weyl_half_radial_batch(f: Callable[[np.ndarray], np.ndarray],
     -(4/pi) int_0^inf p'(w + v^2) dv with w = x^2/2 and p(w) = f(sqrt(2w)),
     the half-power kernel on the reflected radial map; f is only probed for
     decay.  verify.radial_kernel_discrepancy compares the printed form."""
+    _check_tol(tol)  # before the decay probe, which is judged against tol
     _probe_decay(f, tol)
     return generalized_half_batch(_REFLECTED_RADIAL_MAP, f_prime, xs, tol)
 

@@ -7,12 +7,18 @@ semi-infinite map y = a + t/(1-t) turns into one) is finished by Wynn-epsilon
 extrapolation over the bisection levels towards that end, as in QUADPACK's
 QAGS/QAGI; one that stalls inside the range stops unconverged (``_adaptive``).
 Every integral over (a, inf) is one adaptive pass through that map, with no
-search for the support and no split of the range.
+search for the support and no split of the range.  It starts from the panels
+(0, 1/4), (1/4, 1/2), (1/2, 1) of t (``_TAIL_SPANS``), one level below the
+root that QAGI starts from, because nearly every pass bisected the root and
+its left half; the right half stays whole, so that a growing integrand meets
+the divergence bound before it overflows.  A finite pass starts from its
+root panel.
 
-Tolerances are absolute, with one floor: a column is done once its error is
-within ``_REL_FLOOR`` = 100 eps of its integral of |f| (QUADPACK's resabs),
-twice the rounding floor of a panel, so a large or cancelling integral stops
-at rounding instead of spending the budget.
+Tolerances are absolute, finite and positive (anything else is a ValueError
+before the first evaluation), with one floor: a column is done once its
+error is within ``_REL_FLOOR`` = 100 eps of its integral of |f| (QUADPACK's
+resabs), twice the rounding floor of a panel, so a large or cancelling
+integral stops at rounding instead of spending the budget.
 Integrands are sampled only at interior points (a panel whose halves would
 put a node on an end of the range is frozen instead of bisected), but a
 caller's substitution may probe arguments that have underflowed to an
@@ -64,6 +70,7 @@ _WG = np.array([
     0.41795918367346938, 0.38183005050511894, 0.27970539148927664,
     0.12948496616886969,
 ])
+_PANEL = _NODES.size  # evaluations per panel
 
 _DIVERGENCE_BOUND = 1e100
 _ERR_FLOOR = 1e-300
@@ -140,6 +147,12 @@ def vectorized(h: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return elementwise(h)
 
 
+def _check_tol(tol: float) -> None:
+    """ValueError unless ``tol`` is a finite positive number (NaN is not)."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
+
+
 def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
     if math.isfinite(ys.sum()):  # one reduction; NaN and inf propagate
         return
@@ -199,6 +212,17 @@ def _settled(err: np.ndarray, absint: np.ndarray, goal: float,
     return bool(np.all(_done(err, absint, goal)))
 
 
+def _bounded(tot: np.ndarray) -> float:
+    """The largest integral of |f| in the totals ``tot``, or DivergenceError
+    if it exceeds ``_DIVERGENCE_BOUND``."""
+    amax = float(tot[2].max())
+    if amax > _DIVERGENCE_BOUND:
+        raise DivergenceError(
+            "partial sums exceeded bound; integral appears divergent"
+        )
+    return amax
+
+
 def _reaches_end(lo: float, hi: float, a: float, b: float) -> bool:
     """Whether an outermost node of a half of (lo, hi) rounds onto a or b."""
     mid = 0.5 * (lo + hi)
@@ -213,15 +237,22 @@ def _reaches_end(lo: float, hi: float, a: float, b: float) -> bool:
     return False
 
 
-def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
-              budget: int) -> BatchResult:
+def _adaptive(fv, cols: np.ndarray, spans: tuple[tuple[float, float], ...],
+              tol: float, budget: int) -> BatchResult:
     """Drive every column of the parametric integrand ``fv(t, cols)`` on
     (a, b) below ``tol``, or below the rounding floor ``_REL_FLOOR`` times
-    its integral of |f| where that is larger (``_done``).
+    its integral of |f| where that is larger (``_done``).  ``tol`` must be
+    finite and positive.
 
-    The panels are numbered in the order they are made: panel r spans
-    ``ends[r]``, and ``rows[:, r]`` holds its Kronrod values, errors and
-    integrals of |f| over the live columns.  A heap of (-worst column
+    The pass starts from the panels ``spans``, which tile (a, b) in order:
+    a is the first one's lower end and b the last one's upper end.  A
+    finite range starts from its root panel, the mapped tail from
+    ``_TAIL_SPANS``.  Once they are evaluated, and after every bisection, an
+    integral of |f| above ``_DIVERGENCE_BOUND`` raises DivergenceError.
+
+    The panels are numbered in the order they are made, the start panels
+    first: panel r spans ``ends[r]``, and ``rows[:, r]`` holds its Kronrod
+    values, errors and integrals of |f| over the live columns.  A heap of (-worst column
     error, r) picks the panel to bisect, the number breaking ties.  Before
     each bisection, the columns that are ``_done`` at ``_RETIRE * tol``
     retire: their sums over the panels are banked and their entries sliced
@@ -236,20 +267,25 @@ def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
     extrapolated by ``wynn_epsilon``; the limit is taken when its error plus
     the panels' own is ``_done`` at ``tol``.
     """
+    _check_tol(tol)
     cols = np.asarray(cols)
     if not len(cols):  # fv is not called
         return BatchResult(np.zeros(0), np.zeros(0), 0, True)
+    a, b = spans[0][0], spans[-1][1]
     live = np.arange(len(cols))  # the columns still refined
     banked = np.zeros((3, len(cols)))  # per column: value, error, |f| integral
     live_cols = cols
 
     rows = np.empty((3, 32, len(cols)))  # grown by doubling
-    rows[:, 0] = _eval_panel(fv, cols, a, b)
-    ends = [(a, b)]
-    evals = 15
-    heap: list[tuple[float, int]] = [(-float(rows[1, 0].max()), 0)]
-    tot = rows[:, 0].copy()  # the rows summed over the live panels
-    amax = float(tot[2].max())
+    for r, (lo, hi) in enumerate(spans):
+        rows[:, r] = _eval_panel(fv, cols, lo, hi)
+    ends = list(spans)
+    evals = _PANEL * len(spans)
+    heap: list[tuple[float, int]] = [(-float(rows[1, r].max()), r)
+                                     for r in range(len(spans))]
+    heapq.heapify(heap)
+    tot = rows[:, :len(spans)].sum(axis=1)  # the rows over the live panels
+    amax = _bounded(tot)
     frozen: list[int] = []
     ferr = np.zeros(len(cols))  # error of the panels in ``frozen``
     stalled: dict[float, int] = {}  # stalled end -> level of its neighbourhood
@@ -258,7 +294,7 @@ def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
     roundoff = 0
 
     while not _settled(tot[1], tot[2], goal, amax):
-        if evals + 30 > budget or not heap:
+        if evals + 2 * _PANEL > budget or not heap:
             break
         # the least error against the largest floor first: usually no column
         # is done, and that one comparison says so
@@ -309,7 +345,7 @@ def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
         mid = 0.5 * (lo + hi)
         left = _eval_panel(fv, live_cols, lo, mid)
         right = _eval_panel(fv, live_cols, mid, hi)
-        evals += 30
+        evals += 2 * _PANEL
         n = len(ends)
         if n + 2 > rows.shape[1]:
             rows = np.concatenate([rows, np.empty_like(rows)], axis=1)
@@ -325,11 +361,7 @@ def _adaptive(fv, cols: np.ndarray, a: float, b: float, tol: float,
                 roundoff += 1
                 if roundoff == 10:
                     break  # rounding, not the integrand, limits the error
-        amax = float(tot[2].max())
-        if amax > _DIVERGENCE_BOUND:
-            raise DivergenceError(
-                "partial sums exceeded bound; integral appears divergent"
-            )
+        amax = _bounded(tot)
 
     # Recompute the totals from the surviving panels; incremental updates are
     # only used to steer refinement.
@@ -436,9 +468,8 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got ({a}, {b})")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    return _to_scalar(_adaptive(_one_column(f), _ONE_COLUMN, a, b, tol, budget))
+    return _to_scalar(_adaptive(_one_column(f), _ONE_COLUMN, ((a, b),), tol,
+                                budget))
 
 
 def integrate_semi_infinite(f: Callable[[float], float], a: float = 0.0,
@@ -448,8 +479,6 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float = 0.0,
     y = a + t/(1-t) onto (0, 1)."""
     if not math.isfinite(a):
         raise ValueError("lower limit must be finite")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     return _to_scalar(_mapped_tail(_one_column(f), _ONE_COLUMN, a, tol, budget))
 
 
@@ -463,7 +492,7 @@ def integrate_finite_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """Adaptive pass over the columns ``cols`` of f on (a, b)."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got ({a}, {b})")
-    return _adaptive(f, cols, a, b, tol, budget)
+    return _adaptive(f, cols, ((a, b),), tol, budget)
 
 
 def integrate_semi_infinite_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -487,8 +516,20 @@ def integrate_decaying_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return _mapped_tail(f, cols, 0.0, 0.5 * tol, budget)
 
 
+# The mapped pass starts one level below the root (0, 1) of t: the panels
+# (0, 1/4), (1/4, 1/2), (1/2, 1), that is y - a in (0, 1/3), (1/3, 1),
+# (1, inf).  Nearly every mapped pass bisected the root and then its left
+# half, so those two panels were evaluated only to be thrown away.  The
+# right half stays whole: the start then samples no further out than the
+# first bisection of the root did (y - a <= 467), so a growing integrand
+# meets the divergence bound before it overflows.
+_TAIL_SPANS = ((0.0, 0.25), (0.25, 0.5), (0.5, 1.0))
+
+
 def _mapped_tail(fv, cols: np.ndarray, a: float, tol: float,
                  budget: int) -> BatchResult:
+    """One ``_adaptive`` pass of fv over (a, inf) through the map
+    y = a + t/(1-t), starting from ``_TAIL_SPANS``."""
     def gv(ts, live_cols):
         onemt = 1.0 - ts
         ys = a + ts / onemt
@@ -499,4 +540,4 @@ def _mapped_tail(fv, cols: np.ndarray, a: float, tol: float,
             jac = jac[:, None]
         return vals * jac
 
-    return _adaptive(gv, cols, 0.0, 1.0, tol, budget)
+    return _adaptive(gv, cols, _TAIL_SPANS, tol, budget)

@@ -40,7 +40,7 @@ import numpy.polynomial.polynomial as npp
 from . import fracops
 from .errors import ConvergenceError
 from .fracops import CoordinateMap
-from .quadrature import DEFAULT_TOL, vectorized
+from .quadrature import DEFAULT_TOL, _check_tol, vectorized
 from .series import PowerSeries, SpectralMultiplier, apply_multiplier, evaluate
 from .specfun import recip_gamma
 
@@ -205,6 +205,12 @@ class SolutionFn:
     the residual harness and the CLI use it.  ``eval`` is the scalar entry
     behind ``__call__``; passed as None it is derived from ``eval_batch``.
     ``series`` is set for the spectral (laplace) family.
+
+    ``error_estimate`` is not the same quantity for every family.  For the
+    half-power families (gaussian, radial, genshift) it is the requested
+    ``tol``, not the error the kernel's pass achieved, which is usually far
+    smaller; for moebius it is the doubling difference at x = 1, and for
+    laplace the magnitude of the last coefficient of the solution series.
     """
 
     eval: Callable[[float], float] | None
@@ -357,8 +363,6 @@ def solve_moebius(f, f_prime, a: float, tol: float = DEFAULT_TOL) -> SolutionFn:
 
 
 def _solve_moebius(spec: EquationSpec, tol: float) -> SolutionFn:
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     a = spec.a
     fv = vectorized(spec.f)
     fp = vectorized(spec.f_prime)
@@ -393,5 +397,7 @@ def _solve_moebius(spec: EquationSpec, tol: float) -> SolutionFn:
 
 
 def solve(spec: EquationSpec, tol: float = DEFAULT_TOL) -> SolutionFn:
-    """Dispatch to the family solver for an EquationSpec."""
+    """Dispatch to the family solver for an EquationSpec; ``tol`` must be
+    finite and positive (laplace does not read it)."""
+    _check_tol(tol)
     return FAMILIES[spec.family].solve(spec, tol)

@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 
 from fracshift.errors import DivergenceError, QuadratureDomainError
-from fracshift.fracops import reflected_radial_map
+from fracshift.fracops import (
+    generalized_half_batch,
+    half_sqrt_xd,
+    half_sqrt_xd_batch,
+    log_map,
+    reflected_radial_map,
+    weyl_half_radial,
+    weyl_half_radial_batch,
+    xd_negpow,
+    xd_negpow_batch,
+)
 from fracshift.quadrature import (
+    _NODES,
     integrate_decaying_batch,
     integrate_finite,
     integrate_finite_batch,
@@ -13,6 +24,7 @@ from fracshift.quadrature import (
     integrate_semi_infinite_batch,
     wynn_epsilon,
 )
+from fracshift.series import PowerSeries
 from fracshift.solvers import EquationSpec, Family, solve
 from fracshift.verify import residual
 
@@ -95,7 +107,8 @@ def test_endpoint_extrapolation_is_calibrated(name, f, exact, kind):
 
 # The same passes measured before column retirement: a one-column pass keeps
 # its panels, so its value, error and evaluation count (bit-identical on the
-# reference machine; rounding-level slack for other libm builds).
+# reference machine; rounding-level slack for other libm builds).  The mapped
+# ones were measured again once the mapped pass started from _TAIL_SPANS.
 ONE_COLUMN_BEFORE = {
     "x^-0.5": (1.9999999999999993, 1.7311956843799034e-13, 1425),
     "x^-0.7": (3.333333333333332, 8.555617073577052e-13, 1425),
@@ -105,14 +118,14 @@ ONE_COLUMN_BEFORE = {
     "(1-x)^-0.9": (10.000000000000009, 5.573151842587803e-12, 1365),
     "(-lnx)^-0.5": (1.7724538509055376, 1.448037779453306e-11, 2175),
     "x^-0.5(1-x)^-0.5": (3.1415926535897927, 2.759044854879e-13, 2745),
-    "(1+y^2)^-0.55": (10.67672466625085, 2.395602826060092e-11, 1365),
-    "(1+y^2)^-0.6": (5.661543487608489, 1.6092385087694735e-11, 1365),
-    "(1+y^2)^-0.75": (2.6220575542921223, 3.672256995867543e-11, 1365),
-    "(1+y^2)^-0.9": (1.839546990196844, 8.377074895946849e-10, 1065),
-    "decaying (1+y^2)^-0.55": (10.67672466625085, 2.3956030726489483e-11, 1365),
-    "decaying (1+y^2)^-0.6": (5.661543487608489, 1.6092387501687757e-11, 1365),
-    "decaying (1+y^2)^-0.75": (2.6220575542921223, 3.672257466578818e-11, 1365),
-    "decaying (1+y^2)^-0.9": (1.8395469902009265, 3.309070525648284e-10, 1125),
+    "(1+y^2)^-0.55": (10.67672466625073, 1.6443243643910917e-11, 1365),
+    "(1+y^2)^-0.6": (5.661543487608596, 2.181094203600111e-12, 1365),
+    "(1+y^2)^-0.75": (2.62205755429212, 1.4815439908159245e-13, 1365),
+    "(1+y^2)^-0.9": (1.8395469901968442, 7.562945607720743e-10, 1065),
+    "decaying (1+y^2)^-0.55": (10.67672466625073, 1.644324610979948e-11, 1365),
+    "decaying (1+y^2)^-0.6": (5.661543487608596, 2.1810966175931333e-12, 1365),
+    "decaying (1+y^2)^-0.75": (2.62205755429212, 1.4815910619434437e-13, 1365),
+    "decaying (1+y^2)^-0.9": (1.8395469901994426, 4.343909826153316e-10, 1095),
 }
 
 
@@ -233,8 +246,9 @@ def test_retired_columns_are_not_evaluated():
 
 
 
-# Multi-column passes measured before the panels became rows of one store:
-# evaluations exactly, values to 1e-15 and errors to 1e-12 relative.
+# Multi-column passes measured before the panels became rows of one store
+# (the mapped ones again with _TAIL_SPANS): evaluations exactly, values to
+# 1e-15 and errors to 1e-12 relative.
 MULTI_COLUMN = {
     "runge": lambda: integrate_finite_batch(
         _runge_columns([]), AMPLITUDES, -1.0, 1.0, tol=1e-12),
@@ -252,18 +266,18 @@ MULTI_COLUMN_BEFORE = {
     "runge": (225,
         [0.5493603067780065, 5.493603067780065e-07, 5.493602980136991e-13],
         [1.4513953526200412e-13, 3.267194468684744e-16, 1.084349313302256e-15]),
-    "tails": (1395,
-        [10.676724666250847, 0.7853981633974484],
-        [1.5887219083068065e-11, 1.1786974939793307e-14]),
-    "damped": (585,
-        [5.000000000000001, 1.6438356164383565, 0.9836065573770492,
-         0.7017543859649124, 0.5454545454545454, 0.4460966542750929,
-         0.3773584905660377, 0.326975476839237, 0.2884615384615385,
-         0.2580645161290323, 0.23346303501945526, 0.21314387211367675,
-         0.19607843137254904, 0.1815431164901664, 0.1690140845070422,
+    "tails": (1365,
+        [10.67672466625073, 0.7853981633974485],
+        [1.644324610979948e-11, 1.091500781529115e-14]),
+    "damped": (555,
+        [5.000000000000001, 1.643835616438356, 0.9836065573770492,
+         0.7017543859649122, 0.5454545454545455, 0.4460966542750929,
+         0.37735849056603765, 0.32697547683923706, 0.2884615384615385,
+         0.2580645161290323, 0.23346303501945526, 0.21314387211367672,
+         0.19607843137254904, 0.18154311649016638, 0.1690140845070422,
          0.15810276679841898, 0.1485148514851485, 0.1400233372228705,
-         0.1324503311258278, 0.1256544502617801, 0.1195219123505976,
-         0.11396011396011396, 0.10889292196007261, 0.10425716768027804, 0.1],
+         0.13245033112582777, 0.1256544502617801, 0.11952191235059759,
+         0.11396011396011395, 0.10889292196007261, 0.10425716768027804, 0.1],
         [1.052479786019286e-12, 5.814816537476661e-13, 1.0630991187998668e-12,
          3.2191251045149516e-13, 3.5678491292152777e-13,
          4.442234310560755e-14, 3.4559271852605736e-13, 6.289176293083579e-13,
@@ -352,6 +366,83 @@ def test_semi_infinite_shifted_origin():
 def test_divergence_detected():
     with pytest.raises(DivergenceError):
         integrate_semi_infinite(math.exp, 0.0)
+
+
+# -- the start panels of the mapped pass ---------------------------------------
+
+def test_mapped_pass_starts_from_three_panels():
+    # the first integrand calls of a one-column pass on (a, inf) sample the
+    # 45 Kronrod nodes of t in (0, 1/4), (1/4, 1/2), (1/2, 1), y = a + t/(1-t)
+    a = 0.5
+    seen = []
+
+    def f(y, _):
+        seen.append(np.array(y))
+        return np.exp(-y)
+
+    res = integrate_semi_infinite_batch(f, [0], a)
+    assert res.converged
+    assert [v.size for v in seen[:3]] == [15, 15, 15]
+    ts = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
+                         for lo, hi in ((0.0, 0.25), (0.25, 0.5), (0.5, 1.0))])
+    np.testing.assert_allclose(np.concatenate(seen[:3]), a + ts / (1.0 - ts),
+                               rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("g", [math.exp, np.exp], ids=["math.exp", "np.exp"])
+def test_growing_integrand_is_refused_before_overflow(g):
+    # the start panels reach y = 467 at most, where e^y is finite; their
+    # integral of |f| is past the divergence bound, so the pass refuses
+    # before a bisection of (1/2, 1) samples y ~ 937, where e^y overflows
+    seen = []
+
+    def f(y):
+        seen.append(y)
+        return g(y)
+
+    with pytest.raises(DivergenceError):
+        integrate_semi_infinite(f, 0.0)
+    assert len(seen) == 45
+    assert max(seen) < 468.0
+
+
+def _calibration_draw(rng):
+    """(label, vectorized f, lower limit, closed form of int_lo^inf f)."""
+    kind = rng.integers(4)
+    if kind == 0:
+        k, c = rng.uniform(0.0, 4.0), rng.uniform(0.5, 3.0)
+        return (f"y^{k:.3g} e^-{c:.3g}y", lambda y: y ** k * np.exp(-c * y),
+                0.0, math.gamma(k + 1.0) / c ** (k + 1.0))
+    if kind == 1:
+        c = rng.uniform(0.2, 5.0)
+        return (f"e^-{c:.3g}y^2", lambda y: np.exp(-c * y * y), 0.0,
+                0.5 * math.sqrt(math.pi / c))
+    if kind == 2:
+        c, p = rng.uniform(0.2, 5.0), rng.uniform(0.6, 3.0)
+        return (f"(1+{c:.3g}y^2)^-{p:.3g}", lambda y: (1.0 + c * y * y) ** -p,
+                0.0, _algebraic_moment(p) / math.sqrt(c))
+    c, w, lo = rng.uniform(0.2, 2.0), rng.uniform(0.5, 5.0), rng.uniform(0.0, 3.0)
+    exact = math.exp(-c * lo) * (c * math.cos(w * lo) - w * math.sin(w * lo)) \
+        / (c * c + w * w)
+    return (f"e^-{c:.3g}y cos({w:.3g}y) from {lo:.3g}",
+            lambda y: np.exp(-c * y) * np.cos(w * y), lo, exact)
+
+
+def test_mapped_pass_is_calibrated_on_closed_forms():
+    # every converged mapped pass lies within max(tol, its estimate) of the
+    # closed form, over seeded draws of four decaying forms and tolerances
+    rng = np.random.default_rng(2024)
+    wrong, converged = [], 0
+    for _ in range(120):
+        label, f, lo, exact = _calibration_draw(rng)
+        tol = 10.0 ** rng.uniform(-12.0, -7.0)
+        res = integrate_semi_infinite_batch(lambda y, _: f(y), [0], lo, tol)
+        if res.converged:
+            converged += 1
+            if abs(res.values[0] - exact) > max(tol, res.errors[0]):
+                wrong.append((label, tol, res.values[0] - exact))
+    assert not wrong
+    assert converged == 120
 
 
 def test_wynn_epsilon_alternating():
@@ -445,7 +536,8 @@ def test_decaying_batch_fails_fast_without_decay(g):
 
 def test_gaussian_residual_point_count():
     # counted f' points of one fixed residual; a change that re-grows the
-    # count fails here (243,542 before columns retired from the batch pass)
+    # count fails here (243,542 before columns retired from the batch pass,
+    # 189,990 before the mapped pass started from _TAIL_SPANS)
     points = []
 
     def fp(x):
@@ -458,7 +550,7 @@ def test_gaussian_residual_point_count():
     rep = residual(spec, solve(spec), np.geomspace(0.1, 3.0, 12))
     assert rep.quad_failures == 0
     assert rep.max_abs < 1e-12
-    assert sum(points) <= 189_990
+    assert sum(points) <= 131_738
 
 
 def test_unsolvable_residual_fails_fast():
@@ -492,3 +584,88 @@ def test_unsolvable_residual_fails_fast():
 def test_bad_range_or_tol_is_refused(call, fragment):
     with pytest.raises(ValueError, match=fragment):
         call()
+
+
+def _counted(calls, h):
+    def g(x):
+        calls.append(np.size(x))
+        return h(x)
+    return g
+
+
+def _exp_decay(x):
+    return np.exp(-np.asarray(x, dtype=float))
+
+
+def _x_exp_decay(x):
+    x = np.asarray(x, dtype=float)
+    return x * np.exp(-x)
+
+
+def _spec(family):
+    """A valid equation of ``family``; its callables are not counted."""
+    sq = lambda x: np.square(np.asarray(x, dtype=float))
+    dsq = lambda x: 2.0 * np.asarray(x, dtype=float)
+    gauss = lambda x: np.exp(-np.square(np.asarray(x, dtype=float)))
+    dgauss = lambda x: -2.0 * np.asarray(x, dtype=float) * gauss(x)
+    return {
+        "gaussian": EquationSpec(Family.GAUSSIAN_DILATION, f=sq, f_prime=dsq),
+        "laplace": EquationSpec(Family.LAPLACE_DILATION, f=dsq,
+                                f_series=PowerSeries((0.0, 2.0)), mu=1.0),
+        "radial": EquationSpec(Family.RADIAL, f=gauss, f_prime=dgauss),
+        "genshift": EquationSpec(Family.GENERALIZED_SHIFT, f=sq, f_prime=dsq,
+                                 cmap=log_map()),
+        "moebius": EquationSpec(Family.MOEBIUS, f=sq, f_prime=dsq, a=1.0),
+    }[family]
+
+
+# (name, call(tol, calls)): every user callable is wrapped to count into calls
+BAD_TOL_CALLS = [
+    ("integrate_finite", lambda tol, calls: integrate_finite(
+        _counted(calls, math.exp), 0.0, 1.0, tol=tol)),
+    ("integrate_semi_infinite", lambda tol, calls: integrate_semi_infinite(
+        _counted(calls, math.exp), 0.0, tol=tol)),
+    ("integrate_finite_batch", lambda tol, calls: integrate_finite_batch(
+        lambda x, c: _counted(calls, _exp_decay)(x), [0], 0.0, 1.0, tol=tol)),
+    ("integrate_semi_infinite_batch",
+     lambda tol, calls: integrate_semi_infinite_batch(
+         lambda y, c: _counted(calls, _exp_decay)(y), [0], 0.0, tol=tol)),
+    ("integrate_decaying_batch", lambda tol, calls: integrate_decaying_batch(
+        lambda y, c: _counted(calls, _exp_decay)(y), [0], tol=tol)),
+    ("xd_negpow", lambda tol, calls: xd_negpow(
+        0.5, _counted(calls, _x_exp_decay), 1.0, tol=tol)),
+    ("xd_negpow_batch", lambda tol, calls: xd_negpow_batch(
+        0.5, _counted(calls, _x_exp_decay), np.array([1.0]), tol=tol)),
+    ("half_sqrt_xd", lambda tol, calls: half_sqrt_xd(
+        _counted(calls, _exp_decay), 1.0, tol=tol)),
+    ("half_sqrt_xd_batch", lambda tol, calls: half_sqrt_xd_batch(
+        _counted(calls, _exp_decay), np.array([1.0]), tol=tol)),
+    ("weyl_half_radial", lambda tol, calls: weyl_half_radial(
+        _counted(calls, _exp_decay), _counted(calls, _exp_decay), 1.0,
+        tol=tol)),
+    ("weyl_half_radial_batch", lambda tol, calls: weyl_half_radial_batch(
+        _counted(calls, _exp_decay), _counted(calls, _exp_decay),
+        np.array([1.0]), tol=tol)),
+    ("generalized_half_batch", lambda tol, calls: generalized_half_batch(
+        reflected_radial_map(), _counted(calls, _exp_decay), np.array([1.0]),
+        tol=tol)),
+] + [
+    (f"solve {family}", lambda tol, calls, family=family: solve(
+        _spec(family), tol)) for family in
+    ("gaussian", "laplace", "radial", "genshift", "moebius")
+] + [
+    (f"residual {family}", lambda tol, calls, family=family: residual(
+        _spec(family), _counted(calls, _exp_decay), [1.0], quad_tol=tol))
+    for family in ("gaussian", "laplace", "moebius")
+]
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0], ids=["nan", "0", "-1"])
+@pytest.mark.parametrize("name, call", BAD_TOL_CALLS,
+                         ids=[c[0] for c in BAD_TOL_CALLS])
+def test_invalid_tol_is_refused_before_any_evaluation(name, call, tol):
+    # a NaN tol used to spend the whole budget, and 0 or -1 passed silently
+    calls = []
+    with pytest.raises(ValueError, match="tol must be positive"):
+        call(tol, calls)
+    assert calls == []

@@ -10,7 +10,7 @@ from fracshift import verify
 from fracshift.fracops import log_map
 from fracshift.quadrature import DEFAULT_TOL
 from fracshift.series import PowerSeries, from_coefficient_rule
-from fracshift.solvers import EquationSpec, Family, solve
+from fracshift.solvers import EquationSpec, Family, SolutionFn, solve
 from fracshift.verify import (
     conjecture_check,
     radial_kernel_discrepancy,
@@ -98,6 +98,51 @@ def test_residual_at_the_log_map_end_is_silent():
         rep = residual(spec, u, [0.0, 1.0, 2.0])
     assert rep.quad_failures == 0
     assert rep.max_abs <= 1e-12
+
+
+# Eigenfunctions of the two kernels that are not a shift on a map
+# (tests/test_shift.py has those): the defining integral maps x^n to
+# Gamma(mu n + 1) x^n for laplace (a mapped pass), and e^(-beta/x) to
+# (1 - e^(-a beta))/beta e^(-beta/x) for moebius (a finite pass), so the
+# closed-form solution closes the residual to rounding.
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("mu", [0.5, 1.0, 1.7, 2.5])
+def test_laplace_eigenfunction_closes_the_residual(mu, n):
+    symbol = math.gamma(mu * n + 1.0)
+    coeffs = np.zeros(n + 1)
+    coeffs[n] = symbol
+
+    def u(x):
+        return np.asarray(x, dtype=float) ** n
+
+    # rhs reads f, which is exact; the series is the family's required field
+    spec = EquationSpec(Family.LAPLACE_DILATION, f=lambda x: symbol * u(x),
+                        f_series=PowerSeries(coeffs), mu=mu)
+    exact = SolutionFn(None, "closed form", None, 0.0, spec.family, u)
+    rep = residual(spec, exact, np.geomspace(0.1, 3.0, 6))
+    assert rep.quad_failures == 0
+    assert rep.max_rel <= 1e-12, rep.max_rel
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_moebius_eigenfunction_closes_the_residual(beta, a):
+    symbol = -math.expm1(-a * beta) / beta
+
+    def u(x):
+        return np.exp(-beta / np.asarray(x, dtype=float))
+
+    def up(x):
+        x = np.asarray(x, dtype=float)
+        return beta / (x * x) * np.exp(-beta / x)
+
+    spec = EquationSpec(Family.MOEBIUS, f=lambda x: symbol * u(x),
+                        f_prime=lambda x: symbol * up(x), a=a)
+    exact = SolutionFn(None, "closed form", None, 0.0, spec.family, u)
+    rep = residual(spec, exact, np.geomspace(0.1, 3.0, 6))
+    assert rep.quad_failures == 0
+    assert rep.max_rel <= 1e-12, rep.max_rel
 
 
 def _count_lhs_passes(monkeypatch):
