@@ -50,6 +50,7 @@ from .errors import DecayWarning, DivergenceError
 from .quadrature import (
     DEFAULT_TOL,
     BatchResult,
+    _check_finite,
     _check_tol,
     elementwise,
     integrate_decaying_batch,
@@ -150,17 +151,27 @@ def _shifted(cmap: CoordinateMap, g: Callable[[np.ndarray], np.ndarray],
     """g(F_inv(w - s)) for every shift s (rows) and w in ``ws`` (columns),
     0 where the argument has left the open domain (x e^-s underflowed to 0
     on the log map, or F(x) = -inf at x = lo): admissible data vanish there,
-    so g is not called there, nor at all when no argument is inside."""
+    so g is not called there, nor at all when no argument is inside.  A
+    non-finite value of g raises QuadratureDomainError naming g's argument,
+    not the node of the pass that reached it."""
     lo, hi = cmap.domain
     with np.errstate(all="ignore"):
         xi = np.asarray(cmap.F_inv(ws[None, :] - s[:, None]), dtype=float)
     if xi.min() > lo and xi.max() < hi:  # False on NaN too
-        return np.asarray(g(xi), dtype=float)
+        return _sampled(g, xi)
     inside = (xi > lo) & (xi < hi)
     out = np.zeros_like(xi)
     if inside.any():
-        out[inside] = g(xi[inside])
+        out[inside] = _sampled(g, xi[inside])
     return out
+
+
+def _sampled(g: Callable[[np.ndarray], np.ndarray],
+             xi: np.ndarray) -> np.ndarray:
+    """g(xi), refused with the first argument where it is not finite."""
+    vals = np.asarray(g(xi), dtype=float)
+    _check_finite(xi, vals)
+    return vals
 
 
 _NEAR_ZERO = math.exp(-700.0)  # about 1e-304, still a normal float64

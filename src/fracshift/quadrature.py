@@ -154,11 +154,14 @@ def _check_tol(tol: float) -> None:
 
 
 def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
+    """QuadratureDomainError naming the entry of ``xs`` at the first
+    non-finite value of ``ys``; ``xs`` indexes the leading axes of ``ys``
+    (the nodes of a pass, or every argument of a sampled function)."""
     if math.isfinite(ys.sum()):  # one reduction; NaN and inf propagate
         return
     bad = ~np.isfinite(ys)
     if bad.any():  # else the sum overflowed
-        idx = int(np.argwhere(bad)[0][0])  # node index, also the row for 2-d
+        idx = tuple(np.argwhere(bad)[0][:xs.ndim])
         raise QuadratureDomainError(float(xs[idx]))
 
 

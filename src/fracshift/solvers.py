@@ -20,8 +20,28 @@ kernel's own shift; gaussian keeps u(x e^{-y^2}), which rounds better.
 
 Each family is one FamilyDef entry of FAMILIES, so adding a family means
 adding one entry.  Solvers return SolutionFn handles; nothing is precomputed
-on a grid.  A handle's scalar call is derived from its ``eval_batch``, except
-for laplace, whose compensated series evaluation keeps its diagnostics.
+at solve time.  A handle's scalar call is derived from its ``eval_batch``,
+except for laplace, whose compensated series evaluation keeps its
+diagnostics.
+
+A half-power handle has two paths, chosen by cost.  Until it has been asked
+for 160 points in all (about the kernel work of one build), each
+``eval_batch`` is one kernel pass, so small uses get the kernel's values bit
+for bit.  The call that reaches 160 builds, once, a Chebyshev interpolant of
+u in the transported variable w = F(x) (Boyd, Chebyshev and Fourier Spectral
+Methods, ch. 17): points s of the second kind on [-1, 1], mapped by
+w = w_top - 2 (1 - s)/(1 + s), where w_top is the largest F(x) asked so far,
+or F at the lower end where F falls to -inf at the upper one (0 on the
+reflected radial map).  It interpolates v = u/(1 + s), with v = 0 at s = -1,
+where u vanishes, and answers (1 + s) v by the barycentric formula
+(Trefethen, Approximation Theory and Approximation Practice).  The nodes
+start at 16 intervals and double, nested, one kernel pass each; the
+certificate is that the previous interpolant predicts the new node values
+within 1e-13 max |v|, a relative gap, so c f takes the path of f.  The
+handle keeps the kernel for good when no certificate comes by 256 intervals,
+when a kernel pass on the nodes fails, or when the map's F is -inf at
+neither end of its domain; arguments above w_top always take the kernel.
+
 Solvers probe the callables they read at x in {0.5, 1.5} and wrap one that
 does not map arrays to arrays; the scalar entry points of quadrature and
 fracops, and verify.residual given a plain callable, call it one point at a
@@ -31,6 +51,7 @@ time.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -206,11 +227,16 @@ class SolutionFn:
     behind ``__call__``; passed as None it is derived from ``eval_batch``.
     ``series`` is set for the spectral (laplace) family.
 
+    The half-power handles (gaussian, radial, genshift) answer from their
+    kernel until they have been asked for 160 points, then from an
+    interpolant certified to 1e-13 relative, or from the kernel for good
+    where none certifies (see the module docstring).
+
     ``error_estimate`` is not the same quantity for every family.  For the
-    half-power families (gaussian, radial, genshift) it is the requested
-    ``tol``, not the error the kernel's pass achieved, which is usually far
-    smaller; for moebius it is the doubling difference at x = 1, and for
-    laplace the magnitude of the last coefficient of the solution series.
+    half-power families it is the requested ``tol``, on either path, not
+    the error achieved, which is usually far smaller; for moebius it is the
+    doubling difference at x = 1, and for laplace the magnitude of the last
+    coefficient of the solution series.
     """
 
     eval: Callable[[float], float] | None
@@ -232,17 +258,129 @@ class SolutionFn:
         return self.eval(x)
 
 
+# Points asked before a half-power handle builds its interpolant: about the
+# kernel work of one build, so a handle never costs much more than twice the
+# kernel alone (ski rental).  A build that certifies at 128 intervals costs
+# as many f' points as the kernel spends on 165 asked points (a Gaussian pair
+# on the reflected radial map) to 186 (x^2 e^-x on the log map).  The build
+# doubles its Chebyshev intervals from _N_START to at most _N_CAP; _CERTIFY
+# is the relative certificate gap.
+_BUILD_AFTER = 160
+_N_START = 16
+_N_CAP = 256
+_CERTIFY = 1e-13
+_BLOCK = 2048  # arguments per barycentric product, so memory stays bounded
+
+
+def _barycentric(s: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The polynomial through the values ``v`` at the Chebyshev points of the
+    second kind s_j = cos(pi j / n), evaluated at ``t`` in [-1, 1] by the
+    barycentric formula (weights (-1)^j, halved at both ends)."""
+    wts = np.where(np.arange(len(s)) % 2, -1.0, 1.0)
+    wts[[0, -1]] *= 0.5
+    wv = np.stack([wts * v, wts], axis=1)
+    out = np.empty(len(t))
+    for i in range(0, len(t), _BLOCK):
+        d = t[i:i + _BLOCK, None] - s
+        rows, cols = np.nonzero(d == 0.0)
+        d[rows, cols] = 1.0
+        num, den = ((1.0 / d) @ wv).T
+        blk = num / den
+        blk[rows] = v[cols]  # an argument on a node takes its value
+        out[i:i + _BLOCK] = blk
+    return out
+
+
+class _HalfPowerBatch:
+    """``eval_batch`` of a half-power handle: the kernel on ``cmap`` until
+    the handle has been asked for _BUILD_AFTER points, then, where one is
+    certified, a Chebyshev interpolant of u in the transported variable
+    (see the module docstring)."""
+
+    def __init__(self, cmap: CoordinateMap, fp, tol: float, what: str):
+        self.cmap, self.fp, self.tol, self.what = cmap, fp, tol, what
+        self.asked = 0
+        self.nodes: tuple[np.ndarray, np.ndarray] | None = None  # (s, v)
+        lo, hi = cmap.domain
+        try:
+            with np.errstate(all="ignore"):
+                f_lo, f_hi = np.asarray(cmap.F(np.array([lo, hi])), dtype=float)
+        except (ArithmeticError, ValueError):  # F undefined at an end
+            f_lo = f_hi = math.nan
+        # u vanishes where F = -inf; a map without such an end keeps the
+        # kernel.  F(lo) tops the range when F falls to -inf at hi, and the
+        # kernel takes x = lo; else the top is the largest F(x) asked.
+        self.kernel_only = -math.inf not in (f_lo, f_hi)
+        self.w_top = float(f_lo) if f_hi == -math.inf and \
+            math.isfinite(lo) and math.isfinite(f_lo) else -math.inf
+
+    def kernel(self, xs: np.ndarray) -> np.ndarray:
+        res = fracops.generalized_half_batch(self.cmap, self.fp, xs, self.tol)
+        return res.converged_values(self.what)
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        if self.kernel_only:
+            return self.kernel(xs)
+        lo, hi = self.cmap.domain
+        with np.errstate(all="ignore"):
+            ws = np.asarray(self.cmap.F(xs), dtype=float)
+        usable = (xs >= lo) & (xs < hi) & (ws < math.inf)
+        if self.nodes is None:
+            self.asked += xs.size
+            if usable.any():
+                self.w_top = max(self.w_top, float(ws[usable].max()))
+            if self.asked < _BUILD_AFTER or self.w_top == -math.inf:
+                return self.kernel(xs)
+            self.build()
+            if self.kernel_only:
+                return self.kernel(xs)
+        near = usable & (ws <= self.w_top)
+        out = np.empty(xs.shape)
+        if not near.all():  # above w_top, or refused by the kernel
+            out[~near] = self.kernel(xs[~near])
+        # w = w_top - 2 (1 - s)/(1 + s), u = (1 + s) v
+        one_s = 4.0 / (2.0 + (self.w_top - ws[near]))
+        out[near] = one_s * _barycentric(*self.nodes, one_s - 1.0)
+        return out
+
+    def node_values(self, theta: np.ndarray) -> np.ndarray:
+        """v = u / (1 + s) at the nodes s = cos(theta), theta < pi."""
+        half = 0.5 * theta
+        xs = self.cmap.F_inv(self.w_top - 2.0 * np.tan(half) ** 2)
+        return self.kernel(np.asarray(xs, dtype=float)) \
+            / (2.0 * np.cos(half) ** 2)
+
+    def build(self) -> None:
+        """Double the nodes from _N_START until the previous interpolant
+        predicts the new node values within _CERTIFY max |v|, or keep the
+        kernel for good once _N_CAP is reached or a kernel pass fails."""
+        n = _N_START
+        theta = math.pi * np.arange(n + 1) / n
+        try:
+            v = np.append(self.node_values(theta[:-1]), 0.0)  # v(-1) = 0
+            while 2 * n <= _N_CAP:
+                n *= 2
+                fine = math.pi * np.arange(n + 1) / n  # nested: theta[::2]
+                new = self.node_values(fine[1::2])
+                gap = np.abs(_barycentric(np.cos(theta), v,
+                                          np.cos(fine[1::2])) - new)
+                theta, v = fine, np.insert(v, np.arange(1, len(v)), new)
+                if gap.max() <= _CERTIFY * np.abs(v).max():
+                    self.nodes = (np.cos(theta), v)
+                    return
+        except (ArithmeticError, ValueError):  # a node the kernel refuses
+            pass
+        self.kernel_only = True
+
+
 def _half_power(spec: EquationSpec, method: str, what: str,
                 cmap: CoordinateMap, tol: float) -> SolutionFn:
-    """Handle whose eval_batch is one pass of the half-power kernel on
-    ``cmap`` over all arguments, refused unless converged; it reads f' only."""
-    fp = vectorized(spec.f_prime)
-
-    def eval_batch(xs: np.ndarray) -> np.ndarray:
-        res = fracops.generalized_half_batch(cmap, fp, xs, tol)
-        return res.converged_values(what)
-
-    return SolutionFn(None, method, None, tol, spec.family, eval_batch)
+    """Handle whose eval_batch is ``_HalfPowerBatch`` of the half-power
+    kernel on ``cmap``; it reads f' only."""
+    return SolutionFn(None, method, None, tol, spec.family,
+                      _HalfPowerBatch(cmap, vectorized(spec.f_prime), tol,
+                                      what))
 
 
 def solve_gaussian_dilation(f, f_prime, tol: float = DEFAULT_TOL) -> SolutionFn:

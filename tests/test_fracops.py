@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fracshift.errors import DecayWarning, DivergenceError
+from fracshift.errors import (
+    DecayWarning,
+    DivergenceError,
+    QuadratureDomainError,
+)
 from fracshift.fracops import (
     CoordinateMap,
     generalized_half,
@@ -286,6 +290,40 @@ def test_generalized_log_map_is_zero_at_lower_end():
 def test_generalized_rejects_point_outside_domain():
     with pytest.raises(ValueError):
         generalized_half(log_map(), lambda t: t, lambda t: 1.0, -2.0)
+
+
+def _broken_beyond(t0):
+    """Scalar data exp(-t^2) whose derivative is NaN from t0 on."""
+    f = lambda t: math.exp(-t * t)
+    fp = lambda t: -2.0 * t * math.exp(-t * t) if t < t0 else math.nan
+    return f, fp
+
+
+# (kernel call, the range of data arguments at which f' is NaN); the
+# descending kernels at x = 3 reach [2, 3), the ascending one at x = 1
+# reaches [2, inf)
+_BROKEN_DATA = {
+    "half_sqrt_xd": (lambda f, fp: half_sqrt_xd(fp, 3.0), (2.0, 3.0)),
+    "weyl_half_radial": (lambda f, fp: weyl_half_radial(f, fp, 1.0),
+                         (2.0, math.inf)),
+    "generalized_half": (lambda f, fp: generalized_half(log_map(), f, fp, 3.0),
+                         (2.0, 3.0)),
+    "handle eval_batch": (
+        lambda f, fp: solve_gaussian_dilation(
+            lambda t: t, lambda t: 1.0 if t < 2.0 else math.nan,
+        ).eval_batch(np.array([3.0])), (2.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN_DATA))
+def test_nonfinite_data_names_its_argument(name):
+    # the refusal names the argument at which f' failed, not the mapped
+    # node of the pass that reached it
+    run, (lo, hi) = _BROKEN_DATA[name]
+    with pytest.raises(QuadratureDomainError) as err:
+        run(*_broken_beyond(2.0))
+    assert lo <= err.value.abscissa <= hi
+    assert repr(err.value.abscissa) in str(err.value)
 
 
 def test_generalized_batch_matches_scalar():

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from fracshift.errors import ConvergenceError, PrecisionWarning
-from fracshift.fracops import log_map, reflected_radial_map
+from fracshift.fracops import (
+    CoordinateMap,
+    generalized_half_batch,
+    log_map,
+    reflected_radial_map,
+)
 from fracshift.series import PowerSeries, evaluate, from_coefficient_rule
 from fracshift.solvers import (
+    _BUILD_AFTER,
     FAMILIES,
     EquationSpec,
     Family,
@@ -283,6 +289,155 @@ def test_radial_evaluation_makes_no_probe_calls():
     calls.clear()
     u.eval_batch(np.array([0.5, 1.0]))
     assert "f" not in calls
+
+
+# -- half-power handles: the kernel, then a certified interpolant --------------
+
+def _counted_prime(fp, points):
+    def g(x):
+        points.append(np.size(x))
+        return fp(x)
+    return g
+
+
+def _arr(x):
+    return np.asarray(x, dtype=float)
+
+
+# f' of data on the log map, and of Gaussian pairs on the reflected radial map
+_LOG_DATA = {
+    "x^2": lambda x: 2.0 * _arr(x),
+    "x^2 e^-x": lambda x: (2.0 * _arr(x) - _arr(x) ** 2) * np.exp(-_arr(x)),
+    "sin x e^-x": lambda x: (np.cos(x) - np.sin(x)) * np.exp(-_arr(x)),
+    "x^0.1": lambda x: 0.1 * _arr(x) ** -0.9,
+    "x^5": lambda x: 5.0 * _arr(x) ** 4,
+}
+_RADIAL_DATA = {
+    "gauss-pair 1": lambda x: -2.0 * _arr(x) * np.exp(-_arr(x) ** 2),
+    "gauss-pair 1 + 0.5 at 2.5": lambda x: -2.0 * _arr(x) * (
+        np.exp(-_arr(x) ** 2) + 1.25 * np.exp(-2.5 * _arr(x) ** 2)),
+}
+_HANDLE_DATA = {**{k: (log_map(), fp) for k, fp in _LOG_DATA.items()},
+                **{k: (reflected_radial_map(), fp)
+                   for k, fp in _RADIAL_DATA.items()}}
+
+
+def _handle(cmap, fp, tol=1e-10):
+    return solve_generalized_shift(cmap, lambda x: 0.0 * _arr(x), fp, tol)
+
+
+def _grid(cmap, n=200):
+    if cmap.name == "log":
+        return np.geomspace(0.1, 5.0, n)
+    return np.linspace(0.0, 3.0, n)
+
+
+@pytest.mark.parametrize("name", sorted(_HANDLE_DATA))
+def test_interpolant_agrees_with_kernel(name):
+    # 200 points are past the build threshold, so the handle builds; all but
+    # x^0.1 certify by N = 256 (its gap is still 1.8e-9 there) and then
+    # answer from the interpolant
+    cmap, fp = _HANDLE_DATA[name]
+    u = _handle(cmap, fp)
+    xs = _grid(cmap)
+    got = u.eval_batch(xs)
+    ref = generalized_half_batch(cmap, fp, xs).values
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    assert (u.eval_batch.nodes is None) == (name == "x^0.1")
+
+
+@pytest.mark.parametrize("name", sorted(_HANDLE_DATA))
+def test_handle_below_threshold_is_the_kernel(name):
+    # one point short of the threshold, in three calls: every value and
+    # every f' point is the kernel's own
+    cmap, fp = _HANDLE_DATA[name]
+    seen, want = [], []
+    u = _handle(cmap, _counted_prime(fp, seen))
+    seen.clear()
+    xs = _grid(cmap, _BUILD_AFTER - 1)
+    for part in (xs[:9], xs[9:10], xs[10:]):
+        got = u.eval_batch(part)
+        ref = generalized_half_batch(cmap, _counted_prime(fp, want), part)
+        assert np.array_equal(got, ref.values)
+    assert sum(seen) == sum(want)
+    assert u.eval_batch.nodes is None
+
+
+def test_handle_costs_at_most_kernel_plus_one_build():
+    # ski rental: after every call of a sequence, the handle has spent no
+    # more f' points than the kernel alone on the same calls plus one build
+    # (a fresh handle asked for the largest argument as many times as the
+    # threshold, which builds and answers from the interpolant)
+    fp = _LOG_DATA["x^2 e^-x"]
+    build = []
+    _handle(log_map(), _counted_prime(fp, build)).eval_batch(
+        np.full(_BUILD_AFTER, 5.0))
+    seen, direct = [], []
+    u = _handle(log_map(), _counted_prime(fp, seen))
+    seen.clear()
+    calls = [np.geomspace(0.1, 5.0, 9), np.array([1.0]),
+             np.geomspace(0.2, 4.0, 60), np.geomspace(0.1, 5.0, 300),
+             np.array([6.0, 7.0]), np.geomspace(0.1, 7.0, 500)]
+    for xs in calls:
+        got = u.eval_batch(xs)
+        ref = generalized_half_batch(log_map(), _counted_prime(fp, direct), xs)
+        assert np.all(np.abs(got - ref.values)
+                      <= 1e-13 * np.maximum(1.0, np.abs(ref.values)))
+        assert sum(seen) <= sum(direct) + sum(build)
+    assert u.eval_batch.nodes is not None
+
+
+@pytest.mark.parametrize("name", ["x^2 e^-x", "x^5", "gauss-pair 1"])
+def test_interpolant_is_scale_covariant(name):
+    # c f takes the path and N of f and gives c u: the certificate is
+    # relative.  The kernel's tolerance is absolute, so it scales with c.
+    cmap, fp = _HANDLE_DATA[name]
+    xs = _grid(cmap)
+    runs = {}
+    for c in (1e-8, 1.0, 1e8):
+        u = _handle(cmap, lambda x, c=c: c * fp(x), tol=c * 1e-10)
+        vals = u.eval_batch(xs)
+        nodes = u.eval_batch.nodes
+        runs[c] = (None if nodes is None else len(nodes[0]), vals / c)
+    n1, base = runs[1.0]
+    assert n1 is not None
+    for n, vals in runs.values():
+        assert n == n1
+        assert np.all(np.abs(vals - base)
+                      <= 1e-12 * np.maximum(1.0, np.abs(base)))
+
+
+def test_kinked_data_keeps_the_kernel():
+    # f = x |x - 1| has a kink at 1, so no interpolant certifies once x = 2
+    # has been asked; the handle answers from the kernel, without error (the
+    # arguments below 1 keep the kernel passes short)
+    f = lambda x: _arr(x) * np.abs(_arr(x) - 1.0)
+    fp = lambda x: np.where(_arr(x) > 1.0, 2.0 * _arr(x) - 1.0,
+                            1.0 - 2.0 * _arr(x))
+    u = solve_gaussian_dilation(f, fp)
+    for xs in (np.linspace(0.5, 0.95, _BUILD_AFTER - 1), np.array([2.0]),
+               np.array([0.7, 1.5])):
+        ref = generalized_half_batch(log_map(), fp, xs).values
+        assert np.array_equal(u.eval_batch(xs), ref)
+    assert u.eval_batch.kernel_only and u.eval_batch.nodes is None
+
+
+def test_map_without_minus_infinity_keeps_the_kernel():
+    # F(x) = x on (0, inf) reaches -inf at neither end: u need not vanish
+    # anywhere, so the handle never builds
+    cmap = CoordinateMap(lambda x: x * 1.0, lambda w: w * 1.0,
+                         lambda x: 1.0 + 0.0 * x, (0.0, math.inf), "identity")
+    fp = lambda x: 3.0 * _arr(x) ** 2
+    seen, want = [], []
+    u = solve_generalized_shift(cmap, lambda x: _arr(x) ** 3,
+                                _counted_prime(fp, seen))
+    seen.clear()
+    xs = np.linspace(0.0, 3.0, _BUILD_AFTER)
+    got = u.eval_batch(xs)
+    ref = generalized_half_batch(cmap, _counted_prime(fp, want), xs)
+    assert np.array_equal(got, ref.values)
+    assert sum(seen) == sum(want)
+    assert u.eval_batch.kernel_only
 
 
 # -- moebius ------------------------------------------------------------------
