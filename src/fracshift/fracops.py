@@ -206,7 +206,8 @@ def xd_negpow_batch(nu: float, f: Callable[[np.ndarray], np.ndarray],
     """Negative fractional power applied at every x in ``xs`` at once.
 
     Uses (1/Gamma(nu+1)) int_0^inf f(x exp(-t^(1/nu))) dt, the s = t^(1/nu)
-    substitution of the log-kernel form, which is singularity-free.
+    substitution of the log-kernel form, which is singularity-free.  A
+    non-finite value of f raises QuadratureDomainError naming f's argument.
     """
     if not nu > 0.0:
         raise ValueError("nu must be positive")
@@ -225,7 +226,7 @@ def xd_negpow_batch(nu: float, f: Callable[[np.ndarray], np.ndarray],
 
     def integrand(ts, xs):
         damp = np.exp(-ts ** inv_nu)
-        return pref * np.asarray(f(np.outer(damp, xs)), dtype=float)
+        return pref * _sampled(f, np.outer(damp, xs))
 
     return integrate_decaying_batch(integrand, xs, tol=tol)
 

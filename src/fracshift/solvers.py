@@ -15,7 +15,7 @@ coefficient map b_n = a_n / Gamma(mu n + 1), and the moebius family via the
 geometric expansion of (1 - exp(-a x^2 d/dx))^{-1} applied to x^2 f'.
 The shift families are gaussian (the generalized shift on the log map),
 radial (on the reflected radial map) and genshift; their solvers share one
-handle, ``_half_power``.  The radial and genshift residuals take the
+constructor, ``_half_power``.  The radial and genshift residuals take the
 kernel's own shift; gaussian keeps u(x e^{-y^2}), which rounds better.
 
 Each family is one FamilyDef entry of FAMILIES, so adding a family means
@@ -24,23 +24,28 @@ at solve time.  A handle's scalar call is derived from its ``eval_batch``,
 except for laplace, whose compensated series evaluation keeps its
 diagnostics.
 
-A half-power handle has two paths, chosen by cost.  Until it has been asked
-for 160 points in all (about the kernel work of one build), each
-``eval_batch`` is one kernel pass, so small uses get the kernel's values bit
-for bit.  The call that reaches 160 builds, once, a Chebyshev interpolant of
-u in the transported variable w = F(x) (Boyd, Chebyshev and Fourier Spectral
-Methods, ch. 17): points s of the second kind on [-1, 1], mapped by
-w = w_top - 2 (1 - s)/(1 + s), where w_top is the largest F(x) asked so far,
-or F at the lower end where F falls to -inf at the upper one (0 on the
-reflected radial map).  It interpolates v = u/(1 + s), with v = 0 at s = -1,
-where u vanishes, and answers (1 + s) v by the barycentric formula
-(Trefethen, Approximation Theory and Approximation Practice).  The nodes
-start at 16 intervals and double, nested, one kernel pass each; the
-certificate is that the previous interpolant predicts the new node values
-within 1e-13 max |v|, a relative gap, so c f takes the path of f.  The
-handle keeps the kernel for good when no certificate comes by 256 intervals,
-when a kernel pass on the nodes fails, or when the map's F is -inf at
-neither end of its domain; arguments above w_top always take the kernel.
+The gaussian, radial, genshift and moebius handles are one kind,
+``_InterpolatingBatch`` over the family's kernel on a map: the half-power
+kernel on the family's map, or the moebius shift series on the log map
+(f(0) = 0 is required, so u vanishes at x = 0, where F = -inf).  The laplace
+series is the only other kind.  Such a handle has two paths, chosen by cost.
+Until it has been asked for 160 points in all (about the kernel work of one
+build), each ``eval_batch`` is one kernel pass, so small uses get the
+kernel's values bit for bit.  The call that reaches 160 builds, once, a
+Chebyshev interpolant of u in the transported variable w = F(x) (Boyd,
+Chebyshev and Fourier Spectral Methods, ch. 17): points s of the second kind
+on [-1, 1], mapped by w = w_top - 2 (1 - s)/(1 + s), where w_top is the
+largest F(x) asked so far, or F at the lower end where F falls to -inf at
+the upper one (0 on the reflected radial map).  It interpolates
+v = u/(1 + s), with v = 0 at s = -1, where u vanishes, and answers (1 + s) v
+by the barycentric formula (Trefethen, Approximation Theory and
+Approximation Practice).  The nodes start at 16 intervals and double,
+nested, one kernel pass each; the certificate is that the previous
+interpolant predicts the new node values within 1e-13 max |v|, a relative
+gap, so c f takes the path of f.  The handle keeps the kernel for good when
+no certificate comes by 256 intervals, when a kernel pass on the nodes
+fails, or when the map's F is -inf at neither end of its domain; arguments
+above w_top always take the kernel.
 
 Solvers probe the callables they read at x in {0.5, 1.5} and wrap one that
 does not map arrays to arrays; the scalar entry points of quadrature and
@@ -227,16 +232,19 @@ class SolutionFn:
     behind ``__call__``; passed as None it is derived from ``eval_batch``.
     ``series`` is set for the spectral (laplace) family.
 
-    The half-power handles (gaussian, radial, genshift) answer from their
+    The gaussian, radial, genshift and moebius handles answer from their
     kernel until they have been asked for 160 points, then from an
     interpolant certified to 1e-13 relative, or from the kernel for good
-    where none certifies (see the module docstring).
+    where none certifies (see the module docstring); laplace answers from
+    its series.
 
-    ``error_estimate`` is not the same quantity for every family.  For the
-    half-power families it is the requested ``tol``, on either path, not
+    ``error_estimate`` is not the same quantity for every family, and on
+    neither path is it the error of the interpolant.  For the half-power
+    families (gaussian, radial, genshift) it is the requested ``tol``, not
     the error achieved, which is usually far smaller; for moebius it is the
-    doubling difference at x = 1, and for laplace the magnitude of the last
-    coefficient of the solution series.
+    doubling difference of the series at x = 1 (with ``truncation`` its
+    cutoff there), and for laplace the magnitude of the last coefficient of
+    the solution series.
     """
 
     eval: Callable[[float], float] | None
@@ -258,11 +266,12 @@ class SolutionFn:
         return self.eval(x)
 
 
-# Points asked before a half-power handle builds its interpolant: about the
-# kernel work of one build, so a handle never costs much more than twice the
-# kernel alone (ski rental).  A build that certifies at 128 intervals costs
-# as many f' points as the kernel spends on 165 asked points (a Gaussian pair
-# on the reflected radial map) to 186 (x^2 e^-x on the log map).  The build
+# Points asked before a handle builds its interpolant: about the kernel work
+# of one build, so a handle never costs much more than twice the kernel alone
+# (ski rental).  A build that certifies at 128 intervals costs as many data
+# points as the kernel spends on 124 asked points (the moebius series, whose
+# cost per point hardly depends on the point), 165 (a Gaussian pair on the
+# reflected radial map) or 186 (x^2 e^-x on the log map).  The build
 # doubles its Chebyshev intervals from _N_START to at most _N_CAP; _CERTIFY
 # is the relative certificate gap.
 _BUILD_AFTER = 160
@@ -291,14 +300,15 @@ def _barycentric(s: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-class _HalfPowerBatch:
-    """``eval_batch`` of a half-power handle: the kernel on ``cmap`` until
-    the handle has been asked for _BUILD_AFTER points, then, where one is
-    certified, a Chebyshev interpolant of u in the transported variable
-    (see the module docstring)."""
+class _InterpolatingBatch:
+    """``eval_batch`` of a handle: ``kernel`` (xs -> u) until the handle has
+    been asked for _BUILD_AFTER points, then, where one is certified, a
+    Chebyshev interpolant of u in the transported variable w = F(x) on
+    ``cmap`` (see the module docstring)."""
 
-    def __init__(self, cmap: CoordinateMap, fp, tol: float, what: str):
-        self.cmap, self.fp, self.tol, self.what = cmap, fp, tol, what
+    def __init__(self, cmap: CoordinateMap,
+                 kernel: Callable[[np.ndarray], np.ndarray]):
+        self.cmap, self.kernel = cmap, kernel
         self.asked = 0
         self.nodes: tuple[np.ndarray, np.ndarray] | None = None  # (s, v)
         lo, hi = cmap.domain
@@ -313,10 +323,6 @@ class _HalfPowerBatch:
         self.kernel_only = -math.inf not in (f_lo, f_hi)
         self.w_top = float(f_lo) if f_hi == -math.inf and \
             math.isfinite(lo) and math.isfinite(f_lo) else -math.inf
-
-    def kernel(self, xs: np.ndarray) -> np.ndarray:
-        res = fracops.generalized_half_batch(self.cmap, self.fp, xs, self.tol)
-        return res.converged_values(self.what)
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -376,11 +382,16 @@ class _HalfPowerBatch:
 
 def _half_power(spec: EquationSpec, method: str, what: str,
                 cmap: CoordinateMap, tol: float) -> SolutionFn:
-    """Handle whose eval_batch is ``_HalfPowerBatch`` of the half-power
+    """Handle whose eval_batch is ``_InterpolatingBatch`` of the half-power
     kernel on ``cmap``; it reads f' only."""
+    fp = vectorized(spec.f_prime)
+
+    def kernel(xs: np.ndarray) -> np.ndarray:
+        res = fracops.generalized_half_batch(cmap, fp, xs, tol)
+        return res.converged_values(what)
+
     return SolutionFn(None, method, None, tol, spec.family,
-                      _HalfPowerBatch(cmap, vectorized(spec.f_prime), tol,
-                                      what))
+                      _InterpolatingBatch(cmap, kernel))
 
 
 def solve_gaussian_dilation(f, f_prime, tol: float = DEFAULT_TOL) -> SolutionFn:
@@ -450,7 +461,8 @@ _K_CAP = 100_000
 class _ShiftTerms:
     """Terms h(x_k) = x_k^2 f'(x_k), x_k = x/(1 + k a x), k = 0, 1, ..., of
     the moebius shift series at the arguments ``xs`` > 0.  Each term is
-    computed once: a larger cutoff evaluates f' on the new rows only."""
+    computed once: a larger cutoff evaluates f' on the new rows only.  A
+    non-finite f or f' raises QuadratureDomainError naming its argument."""
 
     def __init__(self, f, f_prime, a: float, xs: np.ndarray):
         self.f, self.f_prime, self.a = f, f_prime, a
@@ -459,10 +471,9 @@ class _ShiftTerms:
         self.xl = self.xs[self.live]
         self.h = np.empty((0, len(self.xl)))
 
-    def _args(self, k0: int, k1: int) -> np.ndarray:
-        """Rows x_k, k0 <= k < k1."""
-        ks = np.arange(k0, k1, dtype=float)
-        return self.xl[None, :] / (1.0 + self.a * np.outer(ks, self.xl))
+    def _args(self, ks) -> np.ndarray:
+        """x_k for each k in ``ks`` (an array of rows, or one float)."""
+        return self.xl / (1.0 + self.a * np.multiply.outer(ks, self.xl))
 
     def partial_sum(self, K: int) -> np.ndarray:
         """u_K at ``xs``, 0 where x = 0 (see moebius_partial_sum)."""
@@ -470,11 +481,11 @@ class _ShiftTerms:
         if not self.live.any():
             return out
         if len(self.h) < K + 3:
-            xk = self._args(len(self.h), K + 3)
+            xk = self._args(np.arange(len(self.h), K + 3, dtype=float))
             self.h = np.concatenate(
-                [self.h, xk * xk * np.asarray(self.f_prime(xk), dtype=float)])
+                [self.h, xk * xk * fracops._sampled(self.f_prime, xk)])
         h = self.h
-        tail = np.asarray(self.f(self._args(K + 1, K + 2)[0]), dtype=float) \
+        tail = fracops._sampled(self.f, self._args(K + 1.0)) \
             / self.a + 0.5 * h[K + 1] - (h[K + 2] - h[K]) / 24.0
         out[self.live] = h[: K + 1].sum(axis=0) + tail
         return out
@@ -531,7 +542,7 @@ def _solve_moebius(spec: EquationSpec, tol: float) -> SolutionFn:
     _, k_probe, diff_probe = converge(np.array([1.0]))
     return SolutionFn(None, "geometric shift series, tail closed by "
                       "Euler-Maclaurin", k_probe, diff_probe, Family.MOEBIUS,
-                      eval_batch)
+                      _InterpolatingBatch(fracops._LOG_MAP, eval_batch))
 
 
 def solve(spec: EquationSpec, tol: float = DEFAULT_TOL) -> SolutionFn:

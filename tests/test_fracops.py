@@ -301,7 +301,8 @@ def _broken_beyond(t0):
 
 # (kernel call, the range of data arguments at which f' is NaN); the
 # descending kernels at x = 3 reach [2, 3), the ascending one at x = 1
-# reaches [2, inf)
+# reaches [2, inf); xd_negpow reads f, and the moebius series f' at
+# 3/(1 + k) and f, both NaN from 2 on
 _BROKEN_DATA = {
     "half_sqrt_xd": (lambda f, fp: half_sqrt_xd(fp, 3.0), (2.0, 3.0)),
     "weyl_half_radial": (lambda f, fp: weyl_half_radial(f, fp, 1.0),
@@ -311,6 +312,13 @@ _BROKEN_DATA = {
     "handle eval_batch": (
         lambda f, fp: solve_gaussian_dilation(
             lambda t: t, lambda t: 1.0 if t < 2.0 else math.nan,
+        ).eval_batch(np.array([3.0])), (2.0, 3.0)),
+    "xd_negpow": (lambda f, fp: xd_negpow(
+        0.5, lambda t: t if t < 2.0 else math.nan, 3.0), (2.0, 3.0)),
+    "moebius eval_batch": (
+        lambda f, fp: solve_moebius(
+            lambda t: t if t < 2.0 else math.nan,
+            lambda t: 1.0 if t < 2.0 else math.nan, 1.0,
         ).eval_batch(np.array([3.0])), (2.0, 3.0)),
 }
 

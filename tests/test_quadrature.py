@@ -554,6 +554,23 @@ def test_gaussian_residual_point_count():
     assert sum(points) <= 12_475
 
 
+def test_moebius_residual_point_count():
+    # counted f' points of one fixed residual (55,153 before the moebius
+    # handle answered from an interpolant)
+    points = []
+
+    def fp(x):
+        x = np.asarray(x, dtype=float)
+        points.append(x.size)
+        return 2.0 * x
+
+    spec = EquationSpec(Family.MOEBIUS, f=lambda x: x * x, f_prime=fp, a=1.0)
+    rep = residual(spec, solve(spec), np.geomspace(0.1, 3.0, 12))
+    assert rep.quad_failures == 0
+    assert rep.max_abs < 1e-12
+    assert sum(points) <= 16_639
+
+
 def test_unsolvable_residual_fails_fast():
     # x^2 grows along the reflected radial map, so every inner solution pass
     # stalls, after 1,365 evaluations: once on the shared pass's 75

@@ -1,10 +1,15 @@
 import math
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
-from fracshift.errors import ConvergenceError, PrecisionWarning
+from fracshift.errors import (
+    ConvergenceError,
+    PrecisionWarning,
+    QuadratureDomainError,
+)
 from fracshift.fracops import (
     CoordinateMap,
     generalized_half_batch,
@@ -291,13 +296,18 @@ def test_radial_evaluation_makes_no_probe_calls():
     assert "f" not in calls
 
 
-# -- half-power handles: the kernel, then a certified interpolant --------------
+# -- interpolating handles: the kernel, then a certified interpolant -----------
 
 def _counted_prime(fp, points):
     def g(x):
         points.append(np.size(x))
         return fp(x)
     return g
+
+
+def _counting(points):
+    """Wrapper that counts every call of a data callable into ``points``."""
+    return lambda g: _counted_prime(g, points)
 
 
 def _arr(x):
@@ -317,85 +327,146 @@ _RADIAL_DATA = {
     "gauss-pair 1 + 0.5 at 2.5": lambda x: -2.0 * _arr(x) * (
         np.exp(-_arr(x) ** 2) + 1.25 * np.exp(-2.5 * _arr(x) ** 2)),
 }
-_HANDLE_DATA = {**{k: (log_map(), fp) for k, fp in _LOG_DATA.items()},
-                **{k: (reflected_radial_map(), fp)
-                   for k, fp in _RADIAL_DATA.items()}}
 
 
-def _handle(cmap, fp, tol=1e-10):
-    return solve_generalized_shift(cmap, lambda x: 0.0 * _arr(x), fp, tol)
+def _moebius_power(m, a):
+    """(f, f') whose moebius solution on (0, a) is x^m:
+    f = x^(m-1) (1 - (1 + a x)^(1-m)) / (m - 1)."""
+    def f(x):
+        x = _arr(x)
+        return -x ** (m - 1.0) * np.expm1((1.0 - m) * np.log1p(a * x)) \
+            / (m - 1.0)
+
+    def fp(x):
+        x = _arr(x)
+        return -x ** (m - 2.0) * np.expm1((1.0 - m) * np.log1p(a * x)) \
+            + a * x ** (m - 1.0) * (1.0 + a * x) ** -m
+    return f, fp
 
 
-def _grid(cmap, n=200):
-    if cmap.name == "log":
-        return np.geomspace(0.1, 5.0, n)
-    return np.linspace(0.0, 3.0, n)
+class _Case(NamedTuple):
+    """A handle from data, each callable it reads passed through ``wrap``;
+    the kernel behind it alone, from data passed the same way; its grid."""
+
+    make: Callable  # (wrap, tol) -> SolutionFn
+    kernel: Callable  # (wrap, tol) -> (xs -> the kernel's values)
+    grid: Callable  # n -> n arguments
 
 
-@pytest.mark.parametrize("name", sorted(_HANDLE_DATA))
+def _log_grid(n):
+    return np.geomspace(0.1, 5.0, n)
+
+
+def _shift_case(cmap, fp):
+    def make(wrap, tol):
+        return solve_generalized_shift(cmap, lambda x: 0.0 * _arr(x),
+                                       wrap(fp), tol)
+
+    def kernel(wrap, tol):
+        return lambda xs: generalized_half_batch(cmap, wrap(fp), xs,
+                                                 tol).values
+
+    grid = _log_grid if cmap.name == "log" else \
+        (lambda n: np.linspace(0.0, 3.0, n))
+    return _Case(make, kernel, grid)
+
+
+def _moebius_case(f, fp, a):
+    # the kernel is the shift series of a second handle, called directly
+    def make(wrap, tol):
+        return solve_moebius(wrap(f), wrap(fp), a, tol)
+    return _Case(make, lambda wrap, tol: make(wrap, tol).eval_batch.kernel,
+                 _log_grid)
+
+
+_HANDLES = {
+    **{k: _shift_case(log_map(), fp) for k, fp in _LOG_DATA.items()},
+    **{k: _shift_case(reflected_radial_map(), fp)
+       for k, fp in _RADIAL_DATA.items()},
+    **{f"moebius {k}, a = {a:g}": _moebius_case(*data, a)
+       for a in (0.5, 2.0)
+       for k, data in {
+           "f = x": (_identity, _one),
+           "f = x^2": (np.square, lambda x: 2.0 * _arr(x)),
+           **{f"u = x^{m:g}": _moebius_power(m, a) for m in (1.5, 2.5, 4.0)},
+       }.items()},
+}
+
+
+def _same(g):
+    return g
+
+
+@pytest.mark.parametrize("name", sorted(_HANDLES))
 def test_interpolant_agrees_with_kernel(name):
     # 200 points are past the build threshold, so the handle builds; all but
     # x^0.1 certify by N = 256 (its gap is still 1.8e-9 there) and then
     # answer from the interpolant
-    cmap, fp = _HANDLE_DATA[name]
-    u = _handle(cmap, fp)
-    xs = _grid(cmap)
+    case = _HANDLES[name]
+    u = case.make(_same, 1e-10)
+    xs = case.grid(200)
     got = u.eval_batch(xs)
-    ref = generalized_half_batch(cmap, fp, xs).values
+    ref = case.kernel(_same, 1e-10)(xs)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
     assert (u.eval_batch.nodes is None) == (name == "x^0.1")
 
 
-@pytest.mark.parametrize("name", sorted(_HANDLE_DATA))
+@pytest.mark.parametrize("name", sorted(_HANDLES))
 def test_handle_below_threshold_is_the_kernel(name):
-    # one point short of the threshold, in three calls: every value and
-    # every f' point is the kernel's own
-    cmap, fp = _HANDLE_DATA[name]
+    # one point short of the threshold, in three calls: every value, and
+    # every call of the data with its number of points, is the kernel's own
+    case = _HANDLES[name]
     seen, want = [], []
-    u = _handle(cmap, _counted_prime(fp, seen))
+    u = case.make(_counting(seen), 1e-10)
+    kernel = case.kernel(_counting(want), 1e-10)
     seen.clear()
-    xs = _grid(cmap, _BUILD_AFTER - 1)
+    want.clear()
+    xs = case.grid(_BUILD_AFTER - 1)
     for part in (xs[:9], xs[9:10], xs[10:]):
-        got = u.eval_batch(part)
-        ref = generalized_half_batch(cmap, _counted_prime(fp, want), part)
-        assert np.array_equal(got, ref.values)
-    assert sum(seen) == sum(want)
+        assert np.array_equal(u.eval_batch(part), kernel(part))
+    assert seen == want
     assert u.eval_batch.nodes is None
 
 
-def test_handle_costs_at_most_kernel_plus_one_build():
-    # ski rental: after every call of a sequence, the handle has spent no
-    # more f' points than the kernel alone on the same calls plus one build
-    # (a fresh handle asked for the largest argument as many times as the
-    # threshold, which builds and answers from the interpolant)
-    fp = _LOG_DATA["x^2 e^-x"]
-    build = []
-    _handle(log_map(), _counted_prime(fp, build)).eval_batch(
-        np.full(_BUILD_AFTER, 5.0))
-    seen, direct = [], []
-    u = _handle(log_map(), _counted_prime(fp, seen))
+def _check_costs(case):
+    """A handle of ``case`` against its kernel alone and one build."""
+    build, seen, direct = [], [], []
+    first = case.make(_counting(build), 1e-10)
+    u = case.make(_counting(seen), 1e-10)
+    kernel = case.kernel(_counting(direct), 1e-10)
+    build.clear()
     seen.clear()
+    direct.clear()
+    first.eval_batch(np.full(_BUILD_AFTER, 5.0))
     calls = [np.geomspace(0.1, 5.0, 9), np.array([1.0]),
              np.geomspace(0.2, 4.0, 60), np.geomspace(0.1, 5.0, 300),
              np.array([6.0, 7.0]), np.geomspace(0.1, 7.0, 500)]
     for xs in calls:
-        got = u.eval_batch(xs)
-        ref = generalized_half_batch(log_map(), _counted_prime(fp, direct), xs)
-        assert np.all(np.abs(got - ref.values)
-                      <= 1e-13 * np.maximum(1.0, np.abs(ref.values)))
+        got, ref = u.eval_batch(xs), kernel(xs)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
         assert sum(seen) <= sum(direct) + sum(build)
     assert u.eval_batch.nodes is not None
 
 
-@pytest.mark.parametrize("name", ["x^2 e^-x", "x^5", "gauss-pair 1"])
+def test_handle_costs_at_most_kernel_plus_one_build():
+    # ski rental: after every call of a sequence, the handle has spent no
+    # more data points than the kernel alone on the same calls plus one
+    # build (a fresh handle asked for the largest argument as many times as
+    # the threshold, which builds and answers from the interpolant)
+    for name in ("x^2 e^-x", "moebius u = x^2.5, a = 2"):
+        _check_costs(_HANDLES[name])
+
+
+@pytest.mark.parametrize("name", ["x^2 e^-x", "x^5", "gauss-pair 1",
+                                  "moebius u = x^4, a = 0.5"])
 def test_interpolant_is_scale_covariant(name):
     # c f takes the path and N of f and gives c u: the certificate is
     # relative.  The kernel's tolerance is absolute, so it scales with c.
-    cmap, fp = _HANDLE_DATA[name]
-    xs = _grid(cmap)
+    case = _HANDLES[name]
+    xs = case.grid(200)
     runs = {}
     for c in (1e-8, 1.0, 1e8):
-        u = _handle(cmap, lambda x, c=c: c * fp(x), tol=c * 1e-10)
+        u = case.make(lambda g, c=c: (lambda x: c * g(x)), c * 1e-10)
         vals = u.eval_batch(xs)
         nodes = u.eval_batch.nodes
         runs[c] = (None if nodes is None else len(nodes[0]), vals / c)
@@ -502,6 +573,24 @@ def test_moebius_evaluates_each_row_once():
     points.clear()
     u(2.0)
     assert sum(points) == 2 * 64 + 3
+
+
+def test_moebius_nonfinite_data_fails_at_first_rows():
+    # f' is NaN above 2.5: the first rows name the argument, where the series
+    # used to double K to its cap on NaN differences (3,276,875 f' points)
+    points = []
+
+    def fp(x):
+        x = np.asarray(x, dtype=float)
+        points.append(x.size)
+        return np.where(x > 2.5, np.nan, 1.0)
+
+    u = solve_moebius(_identity, fp, 1.0)
+    points.clear()
+    with pytest.raises(QuadratureDomainError) as err:
+        u.eval_batch(np.linspace(0.1, 3.0, 25))
+    assert 2.5 < err.value.abscissa <= 3.0
+    assert sum(points) == 25 * 67  # the rows k <= 66 of the first sum
 
 
 def test_moebius_vanishes_at_origin():
