@@ -28,8 +28,8 @@ the reflected radial map w = -x^2/2: the radial equation needs the
 ascending (Weyl direction) kernel with profile argument w + s, which is the
 descending one in the reflected coordinate.
 
-The shift itself, g(F^-1(F(x) - s)), is one function, ``_shifted``: the
-kernel and the radial and generalized-shift residuals all call it.
+The shift itself, g(F^-1(F(x) - s)), is one function, ``_shifted``: both
+kernels and the residuals of the three shift families call it.
 
 Scalar entry points accept any real -> real callables and call them one point
 at a time (``quadrature.elementwise``); the ``*_batch`` variants evaluate a
@@ -149,29 +149,32 @@ def _at_point(batch, what: str, lead: tuple, fs: tuple, x: float,
 def _shifted(cmap: CoordinateMap, g: Callable[[np.ndarray], np.ndarray],
              ws: np.ndarray, s: np.ndarray) -> np.ndarray:
     """g(F_inv(w - s)) for every shift s (rows) and w in ``ws`` (columns),
-    0 where the argument has left the open domain (x e^-s underflowed to 0
-    on the log map, or F(x) = -inf at x = lo): admissible data vanish there,
-    so g is not called there, nor at all when no argument is inside.  A
-    non-finite value of g raises QuadratureDomainError naming g's argument,
-    not the node of the pass that reached it."""
+    with g sampled on [lo, hi), lo included where it is finite: an argument
+    that reaches lo (x e^-s underflowed to 0 on the log map, or F(x) = -inf
+    at x = lo) takes g(lo), and one outside the domain gives 0 without a
+    call of g.  A non-finite value of g raises QuadratureDomainError naming
+    g's argument, not the node of the pass that reached it."""
     lo, hi = cmap.domain
     with np.errstate(all="ignore"):
         xi = np.asarray(cmap.F_inv(ws[None, :] - s[:, None]), dtype=float)
-    if xi.min() > lo and xi.max() < hi:  # False on NaN too
+    if xi.min() > lo and xi.max() < hi:  # strictly inside; False on NaN
         return _sampled(g, xi)
-    inside = (xi > lo) & (xi < hi)
+    inside = ((xi >= lo) if math.isfinite(lo) else (xi > lo)) & (xi < hi)
+    return _sampled(g, xi, inside)
+
+
+def _sampled(g: Callable[[np.ndarray], np.ndarray], xi: np.ndarray,
+             inside: np.ndarray | None = None) -> np.ndarray:
+    """g(xi), refused with the first argument where it is not finite; given
+    a mask ``inside``, g is called only there and the value is 0 elsewhere."""
+    if inside is None or inside.all():
+        vals = np.asarray(g(xi), dtype=float)
+        _check_finite(xi, vals)
+        return vals
     out = np.zeros_like(xi)
     if inside.any():
         out[inside] = _sampled(g, xi[inside])
     return out
-
-
-def _sampled(g: Callable[[np.ndarray], np.ndarray],
-             xi: np.ndarray) -> np.ndarray:
-    """g(xi), refused with the first argument where it is not finite."""
-    vals = np.asarray(g(xi), dtype=float)
-    _check_finite(xi, vals)
-    return vals
 
 
 _NEAR_ZERO = math.exp(-700.0)  # about 1e-304, still a normal float64
@@ -206,7 +209,8 @@ def xd_negpow_batch(nu: float, f: Callable[[np.ndarray], np.ndarray],
     """Negative fractional power applied at every x in ``xs`` at once.
 
     Uses (1/Gamma(nu+1)) int_0^inf f(x exp(-t^(1/nu))) dt, the s = t^(1/nu)
-    substitution of the log-kernel form, which is singularity-free.  A
+    substitution of the log-kernel form, which is singularity-free, as
+    ``_shifted`` on the log map: f(0) is kept where x e^-s underflows.  A
     non-finite value of f raises QuadratureDomainError naming f's argument.
     """
     if not nu > 0.0:
@@ -221,14 +225,10 @@ def xd_negpow_batch(nu: float, f: Callable[[np.ndarray], np.ndarray],
             f"f does not vanish at 0 (probe at x*e^-700 gave {probe:.3g}); "
             "the spectral value at index 0 has no negative power"
         )
-    inv_nu = 1.0 / nu
     pref = math.exp(-math.lgamma(nu + 1.0))
-
-    def integrand(ts, xs):
-        damp = np.exp(-ts ** inv_nu)
-        return pref * _sampled(f, np.outer(damp, xs))
-
-    return integrate_decaying_batch(integrand, xs, tol=tol)
+    return integrate_decaying_batch(
+        lambda ts, ws: pref * _shifted(_LOG_MAP, f, ws, ts ** (1.0 / nu)),
+        np.log(xs), tol=tol)
 
 
 def xd_negpow(nu: float, f: Callable[[float], float], x: float,
@@ -294,7 +294,8 @@ def generalized_half_batch(cmap: CoordinateMap,
 
     ``xs`` must lie in [lo, hi) of ``cmap.domain``.  At x = lo the integral
     is taken if F(lo) is finite (reflected radial map at 0); if F(lo) = -inf
-    (log map at 0) the value is 0 and f' is not called there.
+    (log map at 0) the value is 0.  f' is not called at lo: the kernel
+    annihilates f(lo), and f'(lo) may be infinite (x^0.1 on the log map).
     """
     xs = np.asarray(xs, dtype=float)
     lo, hi = cmap.domain
@@ -304,6 +305,8 @@ def generalized_half_batch(cmap: CoordinateMap,
         ws = np.asarray(cmap.F(xs), dtype=float)
 
     def g(xi):
+        if not xi.min() > lo:  # 0 at lo, where f' is not read
+            return _sampled(g, xi, xi > lo)
         return _FOUR_OVER_PI * np.asarray(f_prime(xi), dtype=float) \
             * np.asarray(cmap.q(xi), dtype=float)
 

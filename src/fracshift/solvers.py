@@ -15,8 +15,8 @@ coefficient map b_n = a_n / Gamma(mu n + 1), and the moebius family via the
 geometric expansion of (1 - exp(-a x^2 d/dx))^{-1} applied to x^2 f'.
 The shift families are gaussian (the generalized shift on the log map),
 radial (on the reflected radial map) and genshift; their solvers share one
-constructor, ``_half_power``.  The radial and genshift residuals take the
-kernel's own shift; gaussian keeps u(x e^{-y^2}), which rounds better.
+constructor, ``_half_power``, and their residuals the kernel's own shift,
+both on the map named once in the family's entry.
 
 Each family is one FamilyDef entry of FAMILIES, so adding a family means
 adding one entry.  Solvers return SolutionFn handles; nothing is precomputed
@@ -92,7 +92,8 @@ class FamilyDef(NamedTuple):
     bound: float  # residual acceptance bound of `fracshift verify`
     grid: str  # default grid of `fracshift verify`
     positive: tuple[str, ...]  # required fields that must be > 0
-    vanishes_at_zero: Callable[[EquationSpec], bool]  # f(0) = 0 is required
+    # the map w = F(x) of the family's shift and handle; None for laplace
+    cmap: Callable[[EquationSpec], CoordinateMap | None]
     upper: str | None  # field a of the range (0, a); None: (0, inf)
 
 
@@ -107,32 +108,30 @@ def _laplace_integrand(spec, ev):
     return integrand
 
 
-def _always(spec) -> bool:
-    return True
+def _end_values(cmap: CoordinateMap) -> tuple[float, float]:
+    """F at both ends of ``cmap.domain``, NaN where F is undefined there."""
+    try:
+        with np.errstate(all="ignore"):
+            f_lo, f_hi = np.asarray(cmap.F(np.array(cmap.domain)), dtype=float)
+    except (ArithmeticError, ValueError):  # F undefined at an end
+        return math.nan, math.nan
+    return float(f_lo), float(f_hi)
 
 
-def _never(spec) -> bool:
-    return False
-
-
-def _map_descends_at_zero(spec) -> bool:
+def _map_descends_at_zero(cmap: CoordinateMap | None) -> bool:
     """Whether the map's F is -inf at its lower domain end 0 (the log map):
     the descending kernel integrates f' towards that end, so it annihilates
     f(0), and f(0) = 0 is required.  Where F(0) is finite (reflected radial
     map) the kernel descends towards the other end."""
-    cmap = spec.cmap
-    if cmap.domain[0] != 0.0:
-        return False
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(cmap.F(0.0)) == -np.inf
-    except (ArithmeticError, ValueError):  # a scalar F undefined at 0
-        return False
+    return cmap is not None and cmap.domain[0] == 0.0 \
+        and _end_values(cmap)[0] == -math.inf
 
 
-def _shift_integrand(cmap: CoordinateMap, ev):
-    """LHS terms u(F_inv(F(x) - y^2)) on ``cmap``: the kernel's own shift,
-    0 where the argument has left the map's range."""
+def _shift_integrand(spec: EquationSpec, ev):
+    """LHS terms u(F_inv(F(x) - y^2)) on the family's map: the kernel's own
+    shift ``fracops._shifted``."""
+    cmap = FAMILIES[spec.family].cmap(spec)
+
     def integrand(ys, xs):
         with np.errstate(divide="ignore"):  # F(lo) = -inf at x = lo
             ws = np.asarray(cmap.F(xs), dtype=float)
@@ -145,41 +144,41 @@ FAMILIES: dict[Family, FamilyDef] = {
     Family.GAUSSIAN_DILATION: FamilyDef(
         ("f", "f_prime"),
         lambda spec, tol: _half_power(spec, "half power of the scale derivative",
-                                      "gaussian dilation kernel",
-                                      fracops._LOG_MAP, tol),
-        lambda spec, ev: lambda ys, xs: ev(np.outer(np.exp(-ys * ys), xs)),
-        1e-6, "geom:0.1:5:25", positive=(), vanishes_at_zero=_always,
-        upper=None,
+                                      "gaussian dilation kernel", tol),
+        _shift_integrand,
+        1e-6, "geom:0.1:5:25", positive=(),
+        cmap=lambda spec: fracops._LOG_MAP, upper=None,
     ),
     Family.LAPLACE_DILATION: FamilyDef(
         ("f_series", "mu"),
         lambda spec, tol: _solve_laplace(spec),
         _laplace_integrand,
-        1e-7, "geom:0.1:3:15", positive=("mu",), vanishes_at_zero=_never,
+        1e-7, "geom:0.1:3:15", positive=("mu",), cmap=lambda spec: None,
         upper=None,
     ),
     Family.RADIAL: FamilyDef(
         ("f", "f_prime"),
         lambda spec, tol: _solve_radial(spec, tol),
-        lambda spec, ev: _shift_integrand(fracops._REFLECTED_RADIAL_MAP, ev),
-        1e-6, "0:3:13", positive=(), vanishes_at_zero=_never, upper=None,
+        _shift_integrand,
+        1e-6, "0:3:13", positive=(),
+        cmap=lambda spec: fracops._REFLECTED_RADIAL_MAP, upper=None,
     ),
     Family.GENERALIZED_SHIFT: FamilyDef(
         ("f", "f_prime", "cmap"),
         lambda spec, tol: _half_power(
             spec, f"half power transported by '{spec.cmap.name}' map",
-            "transported half kernel", spec.cmap, tol),
-        lambda spec, ev: _shift_integrand(spec.cmap, ev),
-        1e-6, "geom:0.1:5:25", positive=(),
-        vanishes_at_zero=_map_descends_at_zero, upper=None,
+            "transported half kernel", tol),
+        _shift_integrand,
+        1e-6, "geom:0.1:5:25", positive=(), cmap=lambda spec: spec.cmap,
+        upper=None,
     ),
     Family.MOEBIUS: FamilyDef(
         ("f", "f_prime", "a"),
         lambda spec, tol: _solve_moebius(spec, tol),
         lambda spec, ev: lambda ys, xs: ev(
             xs[None, :] / (1.0 + np.outer(ys, xs))),
-        1e-5, "geom:0.1:3:15", positive=("a",), vanishes_at_zero=_always,
-        upper="a",
+        1e-5, "geom:0.1:3:15", positive=("a",),
+        cmap=lambda spec: fracops._LOG_MAP, upper="a",
     ),
 }
 
@@ -210,7 +209,7 @@ class EquationSpec:
         for key in fam.positive:
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"{name} family needs {key} > 0")
-        if fam.vanishes_at_zero(self) and \
+        if _map_descends_at_zero(fam.cmap(self)) and \
                 not fracops.value_near_zero(self.f, 1.0) < 1e-6:
             raise ValueError(
                 "f(0) must vanish: the generator annihilates constants, so a "
@@ -311,18 +310,13 @@ class _InterpolatingBatch:
         self.cmap, self.kernel = cmap, kernel
         self.asked = 0
         self.nodes: tuple[np.ndarray, np.ndarray] | None = None  # (s, v)
-        lo, hi = cmap.domain
-        try:
-            with np.errstate(all="ignore"):
-                f_lo, f_hi = np.asarray(cmap.F(np.array([lo, hi])), dtype=float)
-        except (ArithmeticError, ValueError):  # F undefined at an end
-            f_lo = f_hi = math.nan
+        f_lo, f_hi = _end_values(cmap)
         # u vanishes where F = -inf; a map without such an end keeps the
         # kernel.  F(lo) tops the range when F falls to -inf at hi, and the
         # kernel takes x = lo; else the top is the largest F(x) asked.
         self.kernel_only = -math.inf not in (f_lo, f_hi)
-        self.w_top = float(f_lo) if f_hi == -math.inf and \
-            math.isfinite(lo) and math.isfinite(f_lo) else -math.inf
+        self.w_top = f_lo if f_hi == -math.inf and math.isfinite(f_lo) \
+            and math.isfinite(cmap.domain[0]) else -math.inf
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -381,9 +375,10 @@ class _InterpolatingBatch:
 
 
 def _half_power(spec: EquationSpec, method: str, what: str,
-                cmap: CoordinateMap, tol: float) -> SolutionFn:
+                tol: float) -> SolutionFn:
     """Handle whose eval_batch is ``_InterpolatingBatch`` of the half-power
-    kernel on ``cmap``; it reads f' only."""
+    kernel on the family's map; it reads f' only."""
+    cmap = FAMILIES[spec.family].cmap(spec)
     fp = vectorized(spec.f_prime)
 
     def kernel(xs: np.ndarray) -> np.ndarray:
@@ -442,7 +437,7 @@ def solve_radial(f, f_prime, tol: float = DEFAULT_TOL) -> SolutionFn:
 def _solve_radial(spec: EquationSpec, tol: float) -> SolutionFn:
     fracops._probe_decay(vectorized(spec.f), tol)
     return _half_power(spec, "ascending half power in w = x^2/2",
-                       "radial half kernel", fracops._REFLECTED_RADIAL_MAP, tol)
+                       "radial half kernel", tol)
 
 
 def solve_generalized_shift(cmap: CoordinateMap, f, f_prime,
@@ -542,7 +537,8 @@ def _solve_moebius(spec: EquationSpec, tol: float) -> SolutionFn:
     _, k_probe, diff_probe = converge(np.array([1.0]))
     return SolutionFn(None, "geometric shift series, tail closed by "
                       "Euler-Maclaurin", k_probe, diff_probe, Family.MOEBIUS,
-                      _InterpolatingBatch(fracops._LOG_MAP, eval_batch))
+                      _InterpolatingBatch(FAMILIES[spec.family].cmap(spec),
+                                          eval_batch))
 
 
 def solve(spec: EquationSpec, tol: float = DEFAULT_TOL) -> SolutionFn:

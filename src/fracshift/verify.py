@@ -3,9 +3,9 @@
 Every solver in this package is checked the same way: put the candidate u
 back under the family's integral sign, evaluate that left-hand side by
 adaptive quadrature at a tolerance one decade below the residual of interest,
-and compare with the data f on a grid.  The harness never reuses the solver's
-own kernel representation; it integrates the defining equation directly,
-with the integrand and range from the family's solvers.FAMILIES entry.
+and compare with the data f on a grid.  The harness integrates the defining
+equation directly (integrand and range from solvers.FAMILIES), sharing only
+the shift fracops._shifted with the solvers, never the half-power formula.
 
 Also here: the fractional Stirling-coefficient check (truncations of
 sum_k S(nu, k) x^k f^(k)(x) against the diagonal value sum_n n^nu a_n x^n)

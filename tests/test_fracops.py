@@ -95,6 +95,35 @@ def test_zero_probe_refuses_nan():
         EquationSpec(Family.GAUSSIAN_DILATION, f=f, f_prime=np.ones_like)
 
 
+@pytest.mark.parametrize("nu", [0.5, 1.5])
+@pytest.mark.parametrize("c", [1e-12, 1e-11])
+def test_negpow_keeps_a_constant_below_the_probe(nu, c):
+    # the zero probe admits f(0) = c <= tol, but where x e^-s underflows onto
+    # 0 the integrand is f(0), so the constant is not dropped: the pass
+    # cannot converge, rather than return the value for x^2
+    res = xd_negpow_batch(nu, lambda t: t * t + c, np.array([0.5, 1.0, 2.0]),
+                          tol=1e-10)
+    assert not res.converged
+
+
+@pytest.mark.parametrize("fp, evals", [
+    (lambda t: 2.0 * t, 195),
+    (lambda t: (2.0 * t - t * t) * np.exp(-t), 255),
+    (lambda t: (np.cos(t) - np.sin(t)) * np.exp(-t), 225),
+], ids=["x^2", "x^2 e^-x", "sin x e^-x"])
+def test_negpow_half_is_the_half_power_kernel(fp, evals):
+    # (x d/dx)^(-1/2) of (2/sqrt(pi)) x f' is (2/sqrt(pi)) (x d/dx)^(1/2) f:
+    # both kernels are the Weyl integral of order 1/2 on the log map, one
+    # shift, so they agree to rounding with equal evaluations
+    xs = np.geomspace(0.1, 5.0, 25)
+    c = 2.0 / math.sqrt(math.pi)
+    neg = xd_negpow_batch(0.5, lambda t: c * t * fp(t), xs, 1e-10)
+    half = generalized_half_batch(log_map(), fp, xs, 1e-10)
+    assert neg.evaluations == half.evaluations == evals
+    assert np.all(np.abs(neg.values - half.values)
+                  <= 1e-14 * np.maximum(1.0, np.abs(half.values)))
+
+
 def test_negpow_linearity():
     nu, x = 0.6, 0.9
     a = xd_negpow(nu, lambda t: t, x)

@@ -113,3 +113,41 @@ def test_eigenfunction_closes_the_residual(case, p):
     rep = residual(spec, exact, grid)
     assert rep.quad_failures == 0
     assert rep.max_abs <= 1e-12, rep.max_abs
+
+
+def _x2e(x):
+    x = np.asarray(x, dtype=float)
+    return x * x * np.exp(-x)
+
+
+def _x2e_prime(x):
+    x = np.asarray(x, dtype=float)
+    return (2.0 * x - x * x) * np.exp(-x)
+
+
+def test_gaussian_is_genshift_on_the_log_map():
+    # one equation written two ways gives one residual, bit for bit: u = 1 + x
+    # keeps u(0) = 1 where x e^-y^2 underflows onto 0, so the LHS diverges
+    # under both names and every point is a quadrature failure
+    specs = [_spec(case, _x2e, _x2e_prime)
+             for case in ("gaussian", "genshift-log")]
+    grid = np.geomspace(0.1, 5.0, 25)
+    candidates = {
+        "linear": lambda x: 2.0 / math.sqrt(math.pi) * x,
+        "1 + x": lambda x: 1.0 + x,
+    }
+    for name, u in candidates.items():
+        a, b = (residual(spec, u, grid) for spec in specs)
+        assert np.array_equal(a.lhs, b.lhs, equal_nan=True), name
+        assert a.quad_failures == b.quad_failures, name
+    assert a.quad_failures == 25
+    a, b = (residual(spec, solve(spec), grid) for spec in specs)
+    assert np.array_equal(a.lhs, b.lhs)
+    assert a.quad_failures == b.quad_failures == 0
+
+
+@pytest.mark.parametrize("u", [lambda x: 1.0 + x, lambda x: 0.3],
+                         ids=["1 + x", "0.3"])
+def test_genshift_log_residual_keeps_a_constant(u):
+    rep = residual(_spec("genshift-log", _x2e, _x2e_prime), u, [0.5, 1.0, 2.0])
+    assert rep.quad_failures == 3

@@ -20,6 +20,8 @@ from fracshift.series import PowerSeries, evaluate, from_coefficient_rule
 from fracshift.solvers import (
     _BUILD_AFTER,
     FAMILIES,
+    _InterpolatingBatch,
+    _map_descends_at_zero,
     EquationSpec,
     Family,
     moebius_partial_sum,
@@ -493,11 +495,32 @@ def test_kinked_data_keeps_the_kernel():
     assert u.eval_batch.kernel_only and u.eval_batch.nodes is None
 
 
+_IDENTITY_MAP = CoordinateMap(lambda x: x * 1.0, lambda w: w * 1.0,
+                              lambda x: 1.0 + 0.0 * x, (0.0, math.inf),
+                              "identity")
+
+
+@pytest.mark.parametrize("cmap, descends, kernel_only, w_top", [
+    (log_map(), True, False, -math.inf),
+    (reflected_radial_map(), False, False, 0.0),
+    (_IDENTITY_MAP, False, True, -math.inf),
+    (None, False, None, None),
+], ids=["log", "reflected-radial", "identity", "laplace"])
+def test_map_ends_decide_admission_and_interpolation(cmap, descends,
+                                                     kernel_only, w_top):
+    # F at the domain ends decides the f(0) rule (F = -inf at 0) and whether
+    # a handle can interpolate, and from which top
+    assert _map_descends_at_zero(cmap) is descends
+    if cmap is not None:
+        batch = _InterpolatingBatch(cmap, lambda xs: xs)
+        assert batch.kernel_only is kernel_only
+        assert batch.w_top == w_top
+
+
 def test_map_without_minus_infinity_keeps_the_kernel():
     # F(x) = x on (0, inf) reaches -inf at neither end: u need not vanish
     # anywhere, so the handle never builds
-    cmap = CoordinateMap(lambda x: x * 1.0, lambda w: w * 1.0,
-                         lambda x: 1.0 + 0.0 * x, (0.0, math.inf), "identity")
+    cmap = _IDENTITY_MAP
     fp = lambda x: 3.0 * _arr(x) ** 2
     seen, want = [], []
     u = solve_generalized_shift(cmap, lambda x: _arr(x) ** 3,

@@ -86,8 +86,8 @@ def test_residual_all_families_on_solver_output():
 
 
 def test_residual_at_the_log_map_end_is_silent():
-    # F(0) = log 0 = -inf: the shift leaves the domain at once, the LHS is 0
-    # there, and taking F must not warn
+    # F(0) = log 0 = -inf: every shifted argument is 0, where the handle
+    # gives u(0) = 0, so the LHS is 0 there, and taking F must not warn
     fx2 = lambda x: np.asarray(x, dtype=float) ** 2
     fx2p = lambda x: 2.0 * np.asarray(x, dtype=float)
     spec = EquationSpec(Family.GENERALIZED_SHIFT, f=fx2, f_prime=fx2p,
