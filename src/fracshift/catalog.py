@@ -25,10 +25,9 @@ class FunctionCatalogEntry:
     f: Callable[[np.ndarray], np.ndarray]
     f_prime: Callable[[np.ndarray], np.ndarray]
     series: Optional[PowerSeries]
-    description: str
 
 
-def _poly_entry(name: str, coeffs: tuple[float, ...], description: str) -> FunctionCatalogEntry:
+def _poly_entry(name: str, coeffs: tuple[float, ...]) -> FunctionCatalogEntry:
     # trailing zero keeps series evaluation from flagging a non-decayed tail
     padded = coeffs + (0.0,)
     series = PowerSeries(padded, label=name)
@@ -41,13 +40,12 @@ def _poly_entry(name: str, coeffs: tuple[float, ...], description: str) -> Funct
     def f_prime(x, _drev=tuple(drev)):
         return np.polyval(_drev, np.asarray(x, dtype=float))
 
-    return FunctionCatalogEntry(name, f, f_prime, series, description)
+    return FunctionCatalogEntry(name, f, f_prime, series)
 
 
 def _gauss_pair_entry(beta: float) -> FunctionCatalogEntry:
     # Right-hand side whose radial-equation solution is exp(-beta x^2).
     amp = 0.5 * math.sqrt(math.pi / (2.0 * beta))
-    name = f"gauss-pair:{beta:g}"
 
     def f(x, _a=amp, _b=beta):
         x = np.asarray(x, dtype=float)
@@ -57,10 +55,7 @@ def _gauss_pair_entry(beta: float) -> FunctionCatalogEntry:
         x = np.asarray(x, dtype=float)
         return _a * (-2.0 * _b * x) * np.exp(-_b * x * x)
 
-    return FunctionCatalogEntry(
-        name, f, f_prime, None,
-        f"(1/2)sqrt(pi/(2b)) exp(-b x^2) with b={beta:g}; radial solution exp(-b x^2)",
-    )
+    return FunctionCatalogEntry(f"gauss-pair:{beta:g}", f, f_prime, None)
 
 
 def _exp_decay() -> FunctionCatalogEntry:
@@ -73,7 +68,7 @@ def _exp_decay() -> FunctionCatalogEntry:
     order = 64
     coeffs = tuple((-1.0) ** n / math.factorial(n) for n in range(order))
     series = PowerSeries(coeffs, label="exp-decay")
-    return FunctionCatalogEntry("exp-decay", f, f_prime, series, "exp(-x)")
+    return FunctionCatalogEntry("exp-decay", f, f_prime, series)
 
 
 def _gauss() -> FunctionCatalogEntry:
@@ -85,11 +80,11 @@ def _gauss() -> FunctionCatalogEntry:
         x = np.asarray(x, dtype=float)
         return -2.0 * x * np.exp(-x * x)
 
-    return FunctionCatalogEntry("gauss", f, f_prime, None, "exp(-x^2)")
+    return FunctionCatalogEntry("gauss", f, f_prime, None)
 
 
 _FIXED = {
-    "zero": _poly_entry("zero", (0.0,), "identically zero"),
+    "zero": _poly_entry("zero", (0.0,)),
     "exp-decay": _exp_decay(),
     "gauss": _gauss(),
 }
@@ -119,13 +114,13 @@ def get(name: str) -> FunctionCatalogEntry:
             if n < 0:
                 raise KeyError("monomial degree must be >= 0")
             coeffs = (0.0,) * n + (1.0,)
-            return _poly_entry(name, coeffs, f"x^{n}")
+            return _poly_entry(name, coeffs)
         if head == "poly":
             try:
                 coeffs = tuple(float(tok) for tok in arg.split(","))
             except ValueError:
                 raise KeyError(f"poly coefficients must be numbers, got {arg!r}")
-            return _poly_entry(name, coeffs, "polynomial " + arg)
+            return _poly_entry(name, coeffs)
         if head == "gauss-pair":
             try:
                 beta = float(arg)

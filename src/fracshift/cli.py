@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .fracops import log_map, reflected_radial_map
 from .opeval import eval_F, eval_F_quadrature
 from .quadrature import DEFAULT_TOL
 from .solvers import FAMILIES, EquationSpec, Family, solve
-from .verify import DEFAULT_QUAD_TOL, conjecture_check, residual
+from .verify import DEFAULT_QUAD_TOL, _write_table, conjecture_check, residual
 
 _NUMERIC_ERRORS = (
     ConvergenceError,
@@ -62,26 +63,24 @@ _FIG1_CROSSCHECK_BOUND = 1e-7
 def parse_grid(text: str) -> np.ndarray:
     """``start:stop:count`` -> linspace, ``geom:a:b:n`` -> geomspace.
 
-    Endpoints are inclusive.  Raises ValueError on malformed input.
+    Endpoints are inclusive and finite.  Raises ValueError on malformed input.
     """
     parts = text.split(":")
-    if parts and parts[0] == "geom":
-        if len(parts) != 4:
-            raise ValueError(f"geometric grid needs geom:a:b:n, got {text!r}")
-        a, b = float(parts[1]), float(parts[2])
-        n = int(parts[3])
-        if n < 1:
-            raise ValueError("grid needs at least one point")
-        if not (a > 0.0 and b > 0.0):
-            raise ValueError("geometric grid endpoints must be positive")
-        return np.geomspace(a, b, n)
-    if len(parts) != 3:
+    geom = parts[0] == "geom"
+    if geom and len(parts) != 4:
+        raise ValueError(f"geometric grid needs geom:a:b:n, got {text!r}")
+    if not geom and len(parts) != 3:
         raise ValueError(f"grid needs start:stop:count or geom:a:b:n, got {text!r}")
-    a, b = float(parts[0]), float(parts[1])
-    n = int(parts[2])
+    a, b, n = float(parts[-3]), float(parts[-2]), int(parts[-1])
     if n < 1:
         raise ValueError("grid needs at least one point")
-    return np.linspace(a, b, n)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("grid endpoints must be finite")
+    if not geom:
+        return np.linspace(a, b, n)
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError("geometric grid endpoints must be positive")
+    return np.geomspace(a, b, n)
 
 
 @contextlib.contextmanager
@@ -91,15 +90,6 @@ def _out_stream(path: str | None):
     else:
         with open(path, "w") as fh:
             yield fh
-
-
-def _write_table(stream: IO[str], header_lines: Iterable[str],
-                 columns: Sequence[str], rows: np.ndarray) -> None:
-    for line in header_lines:
-        stream.write(f"# {line}\n")
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def _build_spec(args, parser: argparse.ArgumentParser) -> EquationSpec:
@@ -171,12 +161,12 @@ def _cmd_fig1(args, parser) -> int:
     if not nus:
         parser.error("--nu needs at least one value")
     for nu in nus:
-        if nu < 0.5:
-            parser.error(f"nu must be >= 0.5, got {nu:g}")
+        if not 0.5 <= nu < math.inf:
+            parser.error(f"nu must be >= 0.5 and finite, got {nu:g}")
     if args.samples < 2:
         parser.error("--samples must be at least 2")
-    if not args.x_max > 0.0:
-        parser.error("--x-max must be positive")
+    if not 0.0 < args.x_max < math.inf:
+        parser.error("--x-max must be positive and finite")
 
     xs = np.linspace(0.0, args.x_max, args.samples)
     cols = np.empty((len(xs), len(nus)))

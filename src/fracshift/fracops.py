@@ -28,8 +28,9 @@ the reflected radial map w = -x^2/2: the radial equation needs the
 ascending (Weyl direction) kernel with profile argument w + s, which is the
 descending one in the reflected coordinate.
 
-The shift itself, g(F^-1(F(x) - s)), is one function, ``_shifted``: both
-kernels and the residuals of the three shift families call it.
+Both kernels and the shift-family residuals are one pass, ``_weyl``:
+int_0^inf g(F^-1(F(x) - t^(1/nu))) dt = Gamma(nu+1) I^nu g, the Weyl integral
+of order nu with respect to F (Samko, Kilbas & Marichev 1993, s. 18.2).
 
 Scalar entry points accept any real -> real callables and call them one point
 at a time (``quadrature.elementwise``); the ``*_batch`` variants evaluate a
@@ -51,7 +52,7 @@ from .quadrature import (
     DEFAULT_TOL,
     BatchResult,
     _check_finite,
-    _check_tol,
+    _check_positive,
     elementwise,
     integrate_decaying_batch,
 )
@@ -177,6 +178,14 @@ def _sampled(g: Callable[[np.ndarray], np.ndarray], xi: np.ndarray,
     return out
 
 
+def _weyl(cmap: CoordinateMap, nu: float, g: Callable, xs: np.ndarray):
+    """(integrand, ws): ws = F(xs), computed once, and integrand(ts, ws) the
+    shift of g by t^(1/nu), whose integral over t is Gamma(nu+1) I^nu g."""
+    with np.errstate(divide="ignore"):  # F(lo) = -inf on the log map
+        ws = np.asarray(cmap.F(xs), dtype=float)
+    return (lambda ts, ws: _shifted(cmap, g, ws, ts ** (1.0 / nu))), ws
+
+
 _NEAR_ZERO = math.exp(-700.0)  # about 1e-304, still a normal float64
 
 
@@ -210,15 +219,14 @@ def xd_negpow_batch(nu: float, f: Callable[[np.ndarray], np.ndarray],
 
     Uses (1/Gamma(nu+1)) int_0^inf f(x exp(-t^(1/nu))) dt, the s = t^(1/nu)
     substitution of the log-kernel form, which is singularity-free, as
-    ``_shifted`` on the log map: f(0) is kept where x e^-s underflows.  A
+    ``_weyl`` on the log map: f(0) is kept where x e^-s underflows.  A
     non-finite value of f raises QuadratureDomainError naming f's argument.
     """
-    if not nu > 0.0:
-        raise ValueError("nu must be positive")
+    _check_positive(nu, "nu")
     xs = np.asarray(xs, dtype=float)
-    if not (xs > 0.0).all():
-        raise ValueError("arguments must be positive")
-    _check_tol(tol)  # before the probe, which is judged against tol
+    if not ((xs > 0.0) & (xs < math.inf)).all():
+        raise ValueError("arguments must be positive and finite")
+    _check_positive(tol)  # before the probe, which is judged against tol
     probe = value_near_zero(f, xs)
     if not probe <= tol:
         raise DivergenceError(
@@ -226,9 +234,9 @@ def xd_negpow_batch(nu: float, f: Callable[[np.ndarray], np.ndarray],
             "the spectral value at index 0 has no negative power"
         )
     pref = math.exp(-math.lgamma(nu + 1.0))
-    return integrate_decaying_batch(
-        lambda ts, ws: pref * _shifted(_LOG_MAP, f, ws, ts ** (1.0 / nu)),
-        np.log(xs), tol=tol)
+    integrand, ws = _weyl(_LOG_MAP, nu,
+                          lambda xi: pref * np.asarray(f(xi), dtype=float), xs)
+    return integrate_decaying_batch(integrand, ws, tol=tol)
 
 
 def xd_negpow(nu: float, f: Callable[[float], float], x: float,
@@ -266,7 +274,7 @@ def weyl_half_radial_batch(f: Callable[[np.ndarray], np.ndarray],
     -(4/pi) int_0^inf p'(w + v^2) dv with w = x^2/2 and p(w) = f(sqrt(2w)),
     the half-power kernel on the reflected radial map; f is only probed for
     decay.  verify.radial_kernel_discrepancy compares the printed form."""
-    _check_tol(tol)  # before the decay probe, which is judged against tol
+    _check_positive(tol)  # before the decay probe, which is judged against tol
     _probe_decay(f, tol)
     return generalized_half_batch(_REFLECTED_RADIAL_MAP, f_prime, xs, tol)
 
@@ -287,8 +295,8 @@ def generalized_half_batch(cmap: CoordinateMap,
     """(2/sqrt(pi)) (q(x) d/dx)^(1/2) f, batched over ``xs``.
 
     Descending-kernel realization (4/pi) int_0^inf g'(F(x) - v^2) dv with
-    g'(w) = f'(F_inv(w)) q(F_inv(w)), the shift ``_shifted`` of
-    (4/pi) f' q.  The transported argument must stay in F's range as v
+    g'(w) = f'(F_inv(w)) q(F_inv(w)): the pass ``_weyl`` of (4/pi) f' q
+    at nu = 1/2.  The transported argument must stay in F's range as v
     grows; maps whose decaying direction is ascending should be passed
     reflected (F -> -F, q -> -q), cf. reflected_radial_map.
 
@@ -301,8 +309,6 @@ def generalized_half_batch(cmap: CoordinateMap,
     lo, hi = cmap.domain
     if not ((xs >= lo) & (xs < hi)).all():
         raise ValueError(f"arguments must lie in the domain [{lo}, {hi})")
-    with np.errstate(divide="ignore"):
-        ws = np.asarray(cmap.F(xs), dtype=float)
 
     def g(xi):
         if not xi.min() > lo:  # 0 at lo, where f' is not read
@@ -310,8 +316,7 @@ def generalized_half_batch(cmap: CoordinateMap,
         return _FOUR_OVER_PI * np.asarray(f_prime(xi), dtype=float) \
             * np.asarray(cmap.q(xi), dtype=float)
 
-    return integrate_decaying_batch(
-        lambda vs, ws: _shifted(cmap, g, ws, vs * vs), ws, tol=tol)
+    return integrate_decaying_batch(*_weyl(cmap, 0.5, g, xs), tol=tol)
 
 
 def generalized_half(cmap: CoordinateMap, f: Callable[[float], float],

@@ -117,9 +117,11 @@ class FSeriesResult(NamedTuple):
     cancellation_index: float
 
 
-def _check_nu(nu: float) -> None:
-    if nu < 0.5:
-        raise ValueError(f"nu must be >= 1/2, got {nu}")
+def _check_args(x: float, nu: float) -> None:
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+    if not 0.5 <= nu < math.inf:
+        raise ValueError(f"nu must be >= 1/2 and finite, got {nu}")
     if nu == 0.5:
         raise DivergenceError(
             "at nu = 1/2 the integrand decays like 1/t and the integral "
@@ -134,9 +136,8 @@ def eval_F_series(x: float, nu: float, tol: float = 1e-14) -> FSeriesResult:
     cancellation (reported) rather than overflow; a term whose magnitude
     exceeds the floating range raises before producing garbage.
     """
-    _check_nu(nu)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    _check_args(x, nu)
+    quadrature._check_positive(tol)
     if x == 0.0:
         return FSeriesResult(0.0, 0, 0.0)
     ln_ax = math.log(abs(x))
@@ -185,7 +186,7 @@ def eval_F_quadrature(x: float, nu: float,
     between them take tol/(2n) each, the one-signed remainder beyond the last
     one mapped pass at tol/2, and the sum has converged when every part has.
     """
-    _check_nu(nu)
+    _check_args(x, nu)
     if x == 0.0:
         return QuadratureResult(0.0, 0.0, 0, True)
     ax = abs(x)

@@ -147,10 +147,11 @@ def vectorized(h: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return elementwise(h)
 
 
-def _check_tol(tol: float) -> None:
-    """ValueError unless ``tol`` is a finite positive number (NaN is not)."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive and finite")
+def _check_positive(value: float, name: str = "tol") -> None:
+    """ValueError unless ``value`` is a finite positive number (NaN is not):
+    the one rule for a tolerance and for a parameter that must be > 0."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
 def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
@@ -270,7 +271,7 @@ def _adaptive(fv, cols: np.ndarray, spans: tuple[tuple[float, float], ...],
     extrapolated by ``wynn_epsilon``; the limit is taken when its error plus
     the panels' own is ``_done`` at ``tol``.
     """
-    _check_tol(tol)
+    _check_positive(tol)
     cols = np.asarray(cols)
     if not len(cols):  # fv is not called
         return BatchResult(np.zeros(0), np.zeros(0), 0, True)
@@ -480,8 +481,6 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float = 0.0,
                             budget: int = DEFAULT_BUDGET) -> QuadratureResult:
     """Integrate f over (a, inf) in one adaptive pass of the map
     y = a + t/(1-t) onto (0, 1)."""
-    if not math.isfinite(a):
-        raise ValueError("lower limit must be finite")
     return _to_scalar(_mapped_tail(_one_column(f), _ONE_COLUMN, a, tol, budget))
 
 
@@ -532,7 +531,10 @@ _TAIL_SPANS = ((0.0, 0.25), (0.25, 0.5), (0.5, 1.0))
 def _mapped_tail(fv, cols: np.ndarray, a: float, tol: float,
                  budget: int) -> BatchResult:
     """One ``_adaptive`` pass of fv over (a, inf) through the map
-    y = a + t/(1-t), starting from ``_TAIL_SPANS``."""
+    y = a + t/(1-t), starting from ``_TAIL_SPANS``; a must be finite."""
+    if not math.isfinite(a):
+        raise ValueError("lower limit must be finite")
+
     def gv(ts, live_cols):
         onemt = 1.0 - ts
         ys = a + ts / onemt

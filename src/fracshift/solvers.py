@@ -15,7 +15,7 @@ coefficient map b_n = a_n / Gamma(mu n + 1), and the moebius family via the
 geometric expansion of (1 - exp(-a x^2 d/dx))^{-1} applied to x^2 f'.
 The shift families are gaussian (the generalized shift on the log map),
 radial (on the reflected radial map) and genshift; their solvers share one
-constructor, ``_half_power``, and their residuals the kernel's own shift,
+constructor, ``_half_power``, and their residuals its pass ``fracops._weyl``,
 both on the map named once in the family's entry.
 
 Each family is one FamilyDef entry of FAMILIES, so adding a family means
@@ -66,7 +66,7 @@ import numpy.polynomial.polynomial as npp
 from . import fracops
 from .errors import ConvergenceError
 from .fracops import CoordinateMap
-from .quadrature import DEFAULT_TOL, _check_tol, vectorized
+from .quadrature import DEFAULT_TOL, _check_positive, vectorized
 from .series import PowerSeries, SpectralMultiplier, apply_multiplier, evaluate
 from .specfun import recip_gamma
 
@@ -86,18 +86,18 @@ class FamilyDef(NamedTuple):
 
     requires: tuple[str, ...]  # EquationSpec fields that must be set
     solve: Callable[[EquationSpec, float], SolutionFn]  # (spec, tol) -> u
-    # (spec, ev) -> (y, xs) -> LHS terms of shape (len(y), len(xs)), where
-    # ev(args) evaluates the candidate u on an array of any shape
-    integrand: Callable[[EquationSpec, Callable], Callable]
+    # (spec, ev, xs) -> (integrand, cols), integrand(y, cols) the LHS terms
+    # of shape (len(y), len(cols)); ev(args) evaluates u on any array shape
+    integrand: Callable[[EquationSpec, Callable, np.ndarray], tuple]
     bound: float  # residual acceptance bound of `fracshift verify`
     grid: str  # default grid of `fracshift verify`
-    positive: tuple[str, ...]  # required fields that must be > 0
+    positive: tuple[str, ...]  # required fields that must be finite and > 0
     # the map w = F(x) of the family's shift and handle; None for laplace
     cmap: Callable[[EquationSpec], CoordinateMap | None]
     upper: str | None  # field a of the range (0, a); None: (0, inf)
 
 
-def _laplace_integrand(spec, ev):
+def _laplace_integrand(spec, ev, xs):
     def integrand(ys, xs):
         out = np.zeros((len(ys), len(xs)))
         ok = ys < _EXP_UNDERFLOW
@@ -105,7 +105,7 @@ def _laplace_integrand(spec, ev):
             yy = ys[ok]
             out[ok] = np.exp(-yy)[:, None] * ev(np.outer(yy ** spec.mu, xs))
         return out
-    return integrand
+    return integrand, xs
 
 
 def _end_values(cmap: CoordinateMap) -> tuple[float, float]:
@@ -127,16 +127,10 @@ def _map_descends_at_zero(cmap: CoordinateMap | None) -> bool:
         and _end_values(cmap)[0] == -math.inf
 
 
-def _shift_integrand(spec: EquationSpec, ev):
-    """LHS terms u(F_inv(F(x) - y^2)) on the family's map: the kernel's own
-    shift ``fracops._shifted``."""
-    cmap = FAMILIES[spec.family].cmap(spec)
-
-    def integrand(ys, xs):
-        with np.errstate(divide="ignore"):  # F(lo) = -inf at x = lo
-            ws = np.asarray(cmap.F(xs), dtype=float)
-        return fracops._shifted(cmap, ev, ws, ys * ys)
-    return integrand
+def _weyl_half(spec: EquationSpec, ev, xs):
+    """LHS terms u(F_inv(F(x) - y^2)) on the family's map, over the columns
+    F(xs): the half-power kernel's own pass ``fracops._weyl``."""
+    return fracops._weyl(FAMILIES[spec.family].cmap(spec), 0.5, ev, xs)
 
 
 # The solvers take an admitted EquationSpec; the public solve_* build one.
@@ -145,7 +139,7 @@ FAMILIES: dict[Family, FamilyDef] = {
         ("f", "f_prime"),
         lambda spec, tol: _half_power(spec, "half power of the scale derivative",
                                       "gaussian dilation kernel", tol),
-        _shift_integrand,
+        _weyl_half,
         1e-6, "geom:0.1:5:25", positive=(),
         cmap=lambda spec: fracops._LOG_MAP, upper=None,
     ),
@@ -159,7 +153,7 @@ FAMILIES: dict[Family, FamilyDef] = {
     Family.RADIAL: FamilyDef(
         ("f", "f_prime"),
         lambda spec, tol: _solve_radial(spec, tol),
-        _shift_integrand,
+        _weyl_half,
         1e-6, "0:3:13", positive=(),
         cmap=lambda spec: fracops._REFLECTED_RADIAL_MAP, upper=None,
     ),
@@ -168,15 +162,15 @@ FAMILIES: dict[Family, FamilyDef] = {
         lambda spec, tol: _half_power(
             spec, f"half power transported by '{spec.cmap.name}' map",
             "transported half kernel", tol),
-        _shift_integrand,
+        _weyl_half,
         1e-6, "geom:0.1:5:25", positive=(), cmap=lambda spec: spec.cmap,
         upper=None,
     ),
     Family.MOEBIUS: FamilyDef(
         ("f", "f_prime", "a"),
         lambda spec, tol: _solve_moebius(spec, tol),
-        lambda spec, ev: lambda ys, xs: ev(
-            xs[None, :] / (1.0 + np.outer(ys, xs))),
+        lambda spec, ev, xs: (lambda ys, xs: ev(
+            xs[None, :] / (1.0 + np.outer(ys, xs))), xs),
         1e-5, "geom:0.1:3:15", positive=("a",),
         cmap=lambda spec: fracops._LOG_MAP, upper="a",
     ),
@@ -207,8 +201,8 @@ class EquationSpec:
         if missing:
             raise ValueError(f"{name} family needs {' and '.join(missing)}")
         for key in fam.positive:
-            if not getattr(self, key) > 0.0:
-                raise ValueError(f"{name} family needs {key} > 0")
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{name} family needs {key} > 0 and finite")
         if _map_descends_at_zero(fam.cmap(self)) and \
                 not fracops.value_near_zero(self.f, 1.0) < 1e-6:
             raise ValueError(
@@ -530,8 +524,8 @@ def _solve_moebius(spec: EquationSpec, tol: float) -> SolutionFn:
 
     def eval_batch(xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if (xs < 0.0).any():
-            raise ValueError("arguments must be >= 0")
+        if not ((xs >= 0.0) & (xs < math.inf)).all():
+            raise ValueError("arguments must be >= 0 and finite")
         return converge(xs)[0]
 
     _, k_probe, diff_probe = converge(np.array([1.0]))
@@ -544,5 +538,5 @@ def _solve_moebius(spec: EquationSpec, tol: float) -> SolutionFn:
 def solve(spec: EquationSpec, tol: float = DEFAULT_TOL) -> SolutionFn:
     """Dispatch to the family solver for an EquationSpec; ``tol`` must be
     finite and positive (laplace does not read it)."""
-    _check_tol(tol)
+    _check_positive(tol)
     return FAMILIES[spec.family].solve(spec, tol)

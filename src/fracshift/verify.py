@@ -5,7 +5,7 @@ back under the family's integral sign, evaluate that left-hand side by
 adaptive quadrature at a tolerance one decade below the residual of interest,
 and compare with the data f on a grid.  The harness integrates the defining
 equation directly (integrand and range from solvers.FAMILIES), sharing only
-the shift fracops._shifted with the solvers, never the half-power formula.
+the Weyl pass fracops._weyl with the solvers, never the half-power formula.
 
 Also here: the fractional Stirling-coefficient check (truncations of
 sum_k S(nu, k) x^k f^(k)(x) against the diagonal value sum_n n^nu a_n x^n)
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -28,7 +28,8 @@ from .errors import (
     QuadratureDomainError,
 )
 from .fracops import weyl_half_radial_batch
-from .quadrature import elementwise, integrate_decaying_batch, integrate_finite_batch
+from .quadrature import (_check_positive, elementwise, integrate_decaying_batch,
+                         integrate_finite_batch)
 from .series import PowerSeries
 from .solvers import FAMILIES, EquationSpec, Family, SolutionFn
 from .specfun import STIRLING_FRAC_MAX_K, stirling2_frac
@@ -67,15 +68,22 @@ class ResidualReport:
 
     def to_csv(self, stream, header_lines: Sequence[str] = ()) -> None:
         """Write '#'-commented header lines, a column row, then the data."""
-        for line in header_lines:
-            stream.write(f"# {line}\n")
-        if self.label:
-            stream.write(f"# residual report: {self.label}\n")
-        stream.write("x,lhs,rhs,abs_residual\n")
-        for x, l, r, d in zip(self.grid, self.lhs, self.rhs, self.residuals):
-            stream.write(
-                f"{x:.17g},{l:.17g},{r:.17g},{d:.17g}\n"
-            )
+        label = [f"residual report: {self.label}"] if self.label else []
+        _write_table(stream, [*header_lines, *label],
+                     ("x", "lhs", "rhs", "abs_residual"),
+                     np.column_stack([self.grid, self.lhs, self.rhs,
+                                      self.residuals]))
+
+
+def _write_table(stream: IO[str], header_lines: Iterable[str],
+                 columns: Sequence[str], rows: np.ndarray) -> None:
+    """CSV: '#'-commented header lines, the column names, then the rows,
+    every value to 17 significant digits."""
+    for line in header_lines:
+        stream.write(f"# {line}\n")
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 class ConjectureReport(NamedTuple):
@@ -111,11 +119,11 @@ def _evaluator(u) -> Callable[[np.ndarray], np.ndarray]:
 def _lhs_pass(spec: EquationSpec, u, xs: np.ndarray, tol: float):
     """One adaptive pass computing the family LHS at every grid point."""
     fam = FAMILIES[spec.family]
-    integrand = fam.integrand(spec, _evaluator(u))
+    integrand, cols = fam.integrand(spec, _evaluator(u), xs)
     if fam.upper is None:
-        return integrate_decaying_batch(integrand, xs, tol=tol)
-    return integrate_finite_batch(integrand, xs, 0.0, getattr(spec, fam.upper),
-                                  tol=tol)
+        return integrate_decaying_batch(integrand, cols, tol=tol)
+    return integrate_finite_batch(integrand, cols, 0.0,
+                                  getattr(spec, fam.upper), tol=tol)
 
 
 def _lhs_values(spec, u, xs, tol):
@@ -143,8 +151,9 @@ def residual(spec: EquationSpec, u, grid: Sequence[float],
     quad_tol (or whose evaluation fails) counts as a quadrature failure.
     """
     xs = np.asarray(list(grid), dtype=float)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError("grid must be a non-empty 1-d sequence")
+    if xs.ndim != 1 or xs.size == 0 or not np.isfinite(xs).all():
+        raise ValueError("grid must be a non-empty 1-d sequence of finite "
+                         "points")
     rhs = np.array([spec.rhs(float(x)) for x in xs])
     lhs, errs = _lhs_values(spec, u, xs, quad_tol / 10.0)
 
@@ -173,8 +182,7 @@ def conjecture_check(nu: float, f: PowerSeries, x: float,
     """
     if not (0.0 < nu < 1.0):
         raise ValueError(f"nu must lie in (0, 1), got {nu}")
-    if not x > 0.0:
-        raise ValueError("x must be positive")
+    _check_positive(x, "x")
     if not 0 <= K <= STIRLING_FRAC_MAX_K:
         raise ValueError(
             f"K must lie in [0, {STIRLING_FRAC_MAX_K}] "

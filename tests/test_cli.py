@@ -200,6 +200,25 @@ def test_moebius_rejects_nonvanishing_data(argv):
     assert "vanish" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, code, fragment", [
+    (("solve", "gaussian", "--f", "monomial:2", "--grid", "geom:0.1:inf:3"),
+     2, "grid endpoints must be finite"),
+    (("verify", "radial", "--f", "gauss-pair:2", "--grid", "nan:1:3"),
+     2, "grid endpoints must be finite"),
+    (("fig1", "--nu", "nan"), 2, "nu must be >= 0.5 and finite"),
+    (("fig1", "--x-max", "inf"), 2, "--x-max must be positive and finite"),
+    (("solve", "laplace", "--f", "exp-decay", "--mu", "inf", "--grid",
+      "0:1:3"), 1, "needs mu > 0 and finite"),
+], ids=["geom inf", "linear nan", "fig1 nu nan", "fig1 x-max inf",
+        "laplace mu inf"])
+def test_nonfinite_input_is_refused(argv, code, fragment):
+    # named as bad input, not reported as a numeric failure or a number
+    proc = run_cli(*argv)
+    assert proc.returncode == code
+    assert fragment in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 def test_laplace_needs_series_form():
     proc = run_cli("solve", "laplace", "--f", "gauss", "--grid", "0.1:1:3")
     assert proc.returncode == 2
@@ -210,6 +229,8 @@ def test_laplace_needs_series_form():
     ("geom:1:2:0", "grid needs at least one point"),
     ("geom:0:2:3", "geometric grid endpoints must be positive"),
     ("0:1:0", "grid needs at least one point"),
+    ("geom:0.1:inf:3", "grid endpoints must be finite"),
+    ("nan:1:3", "grid endpoints must be finite"),
 ])
 def test_parse_grid_refusals(text, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -221,6 +242,8 @@ def test_parse_grid_refusals(text, fragment):
     (["--nu", ","], "--nu needs at least one value"),
     (["--samples", "1"], "--samples must be at least 2"),
     (["--x-max", "0"], "--x-max must be positive"),
+    (["--nu", "nan"], "nu must be >= 0.5 and finite"),
+    (["--x-max", "inf"], "--x-max must be positive and finite"),
 ])
 def test_fig1_usage_errors(args, fragment, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -139,6 +139,31 @@ def test_negpow_domain():
         xd_negpow(0.5, lambda t: t, -1.0)
 
 
+def _uncalled(x):
+    raise AssertionError(f"data evaluated at {x!r}")
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: xd_negpow(math.inf, _uncalled, 1.0),
+     "nu must be positive and finite"),
+    (lambda: xd_negpow(math.nan, _uncalled, 1.0),
+     "nu must be positive and finite"),
+    (lambda: xd_negpow(0.5, _uncalled, math.inf),
+     "arguments must be positive and finite"),
+    (lambda: xd_negpow_batch(0.5, _uncalled, np.array([math.nan, 1.0])),
+     "arguments must be positive and finite"),
+    (lambda: half_sqrt_xd_batch(_uncalled, np.array([1.0, math.inf])),
+     "arguments must lie in the domain"),
+    (lambda: generalized_half_batch(reflected_radial_map(), _uncalled,
+                                    np.array([math.nan])),
+     "arguments must lie in the domain"),
+], ids=["nu=inf", "nu=nan", "x=inf", "x=nan", "half x=inf", "general x=nan"])
+def test_fracops_refusals(call, fragment):
+    # refused before f is evaluated, not a number computed from them
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
 def test_negpow_batch_matches_scalar():
     xs = np.array([0.5, 1.0, 2.0])
     res = xd_negpow_batch(0.8, lambda t: t * t, xs)

@@ -245,6 +245,21 @@ def test_eval_I_rejects_nonfinite_symbol():
         eval_I(_gauss_probe(), lambda mu: math.inf, 1.0)
 
 
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: eval_F(math.nan, 1.5), "x must be finite"),
+    (lambda: eval_F(math.inf, 1.5), "x must be finite"),
+    (lambda: eval_F_quadrature(-math.inf, 1.5), "x must be finite"),
+    (lambda: eval_F(1.0, math.nan), "nu must be >= 1/2 and finite"),
+    (lambda: eval_F_series(1.0, math.inf), "nu must be >= 1/2 and finite"),
+    (lambda: eval_F_series(1.0, 1.5, tol=math.inf),
+     "tol must be positive and finite"),
+], ids=["F x=nan", "F x=inf", "quadrature x=-inf", "F nu=nan",
+        "series nu=inf", "series tol=inf"])
+def test_opeval_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
 def test_series_refuses_nonpositive_tol():
     with pytest.raises(ValueError, match="tol must be positive"):
         eval_F_series(1.0, 1.5, tol=0.0)

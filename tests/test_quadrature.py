@@ -24,6 +24,7 @@ from fracshift.quadrature import (
     integrate_semi_infinite_batch,
     wynn_epsilon,
 )
+from fracshift.opeval import eval_F_series
 from fracshift.series import PowerSeries
 from fracshift.solvers import EquationSpec, Family, solve
 from fracshift.verify import residual
@@ -598,6 +599,9 @@ def test_unsolvable_residual_fails_fast():
     (lambda: integrate_semi_infinite(math.exp, 0.0, tol=-1.0), "tol must be positive"),
     (lambda: integrate_finite_batch(lambda x, c: x, [1.0], 2.0, 1.0),
      "need finite a < b"),
+    (lambda: integrate_semi_infinite_batch(lambda y, c: np.exp(-y), [1.0],
+                                           math.inf),
+     "limit must be finite"),
 ])
 def test_bad_range_or_tol_is_refused(call, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -667,6 +671,7 @@ BAD_TOL_CALLS = [
     ("generalized_half_batch", lambda tol, calls: generalized_half_batch(
         reflected_radial_map(), _counted(calls, _exp_decay), np.array([1.0]),
         tol=tol)),
+    ("eval_F_series", lambda tol, calls: eval_F_series(1.0, 1.5, tol)),
 ] + [
     (f"solve {family}", lambda tol, calls, family=family: solve(
         _spec(family), tol)) for family in
@@ -678,7 +683,8 @@ BAD_TOL_CALLS = [
 ]
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0], ids=["nan", "0", "-1"])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "0", "-1"])
 @pytest.mark.parametrize("name, call", BAD_TOL_CALLS,
                          ids=[c[0] for c in BAD_TOL_CALLS])
 def test_invalid_tol_is_refused_before_any_evaluation(name, call, tol):

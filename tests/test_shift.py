@@ -19,7 +19,9 @@ import random
 import numpy as np
 import pytest
 
+from fracshift import fracops
 from fracshift.fracops import log_map, reflected_radial_map
+from fracshift.quadrature import integrate_decaying_batch
 from fracshift.solvers import EquationSpec, Family, SolutionFn, solve
 from fracshift.verify import residual
 
@@ -151,3 +153,29 @@ def test_gaussian_is_genshift_on_the_log_map():
 def test_genshift_log_residual_keeps_a_constant(u):
     rep = residual(_spec("genshift-log", _x2e, _x2e_prime), u, [0.5, 1.0, 2.0])
     assert rep.quad_failures == 3
+
+
+# -- the Weyl pass of any order -----------------------------------------------
+
+# (map, grid, e^(beta F(x)) as a function of x and beta)
+WEYL_MAPS = {
+    "log": (log_map(), np.geomspace(0.1, 5.0, 9), lambda x, b: x ** b),
+    "reflected-radial": (reflected_radial_map(), np.linspace(0.0, 3.0, 7),
+                         lambda x, b: np.exp(-0.5 * b * x * x)),
+}
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("nu", [0.25, 0.5, 0.75, 1.5])
+@pytest.mark.parametrize("kind", list(WEYL_MAPS))
+def test_weyl_pass_symbol(kind, nu, beta):
+    # e^(beta w) is an eigenfunction of the Weyl integral of order nu in
+    # w = F(x): int_0^inf e^(beta (w - t^(1/nu))) dt = Gamma(nu+1) beta^-nu
+    # e^(beta w), that is x^beta on the log map and e^(-beta x^2/2) on the
+    # reflected radial map (x = 0 included)
+    cmap, xs, e = WEYL_MAPS[kind]
+    exact = math.gamma(nu + 1.0) * beta ** -nu * e(xs, beta)
+    integrand, ws = fracops._weyl(cmap, nu, lambda x: e(x, beta), xs)
+    res = integrate_decaying_batch(integrand, ws, tol=1e-13 * exact.min())
+    assert res.converged
+    np.testing.assert_allclose(res.values, exact, rtol=1e-12, atol=0.0)

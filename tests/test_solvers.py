@@ -45,6 +45,10 @@ def _one(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
+def _uncalled(x):
+    raise AssertionError(f"data evaluated at {x!r}")
+
+
 # -- spec validation ----------------------------------------------------------
 
 def test_spec_laplace_needs_series():
@@ -113,6 +117,14 @@ def test_direct_solvers_keep_data_nonzero_at_origin(solver):
      ValueError, "tol must be positive"),
     (lambda: solve_moebius(_identity, _one, 1.0).eval_batch(np.array([-1.0])),
      ValueError, "arguments must be >= 0"),
+    (lambda: solve_laplace_dilation(PowerSeries((0.0, 1.0)), math.inf),
+     ValueError, "needs mu > 0 and finite"),
+    (lambda: solve_moebius(_uncalled, _uncalled, math.inf),
+     ValueError, "needs a > 0 and finite"),
+    (lambda: solve_moebius(_identity, _one, 1.0).eval_batch(
+        np.array([math.nan, 1.0])), ValueError, "arguments must be >= 0 and finite"),
+    (lambda: solve_moebius(_identity, _one, 1.0).eval_batch(
+        np.array([math.inf])), ValueError, "arguments must be >= 0 and finite"),
     # f = x sin(1/x): the terms h(x_k) oscillate and decay like 1/k
     (lambda: solve_moebius(lambda x: x * np.sin(1.0 / x),
                            lambda x: np.sin(1.0 / x) - np.cos(1.0 / x) / x, 1.0),

@@ -26,6 +26,10 @@ def _one(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
+def _uncalled(x):
+    raise AssertionError(f"candidate evaluated at {x!r}")
+
+
 def _gauss_pair(beta):
     amp = 0.5 * math.sqrt(math.pi / (2.0 * beta))
     f = lambda x: amp * np.exp(-beta * np.asarray(x, dtype=float) ** 2)
@@ -260,6 +264,24 @@ def test_radial_kernel_discrepancy_pair():
     assert cmp.plain.residuals[0] >= 0.1  # defect at x = 0
     assert cmp.transported.label == "radial/transported"
     assert cmp.plain.label == "radial/plain"
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: residual(EquationSpec(Family.GAUSSIAN_DILATION, f=_identity,
+                                   f_prime=_one), _uncalled, [math.nan, 1.0]),
+     "grid must be a non-empty 1-d sequence of finite points"),
+    (lambda: residual(EquationSpec(Family.MOEBIUS, f=_identity, f_prime=_one,
+                                   a=1.0), _uncalled, [1.0, math.inf]),
+     "of finite points"),
+    (lambda: conjecture_check(0.5, PowerSeries((0.0, 1.0)), math.inf, 5),
+     "x must be positive and finite"),
+    (lambda: conjecture_check(0.5, PowerSeries((0.0, 1.0)), math.nan, 5),
+     "x must be positive and finite"),
+], ids=["residual nan", "residual inf", "conjecture x=inf", "conjecture x=nan"])
+def test_verify_refusals(call, fragment):
+    # refused before the candidate is evaluated, not reported as a number
+    with pytest.raises(ValueError, match=fragment):
+        call()
 
 
 def test_residual_refuses_empty_grid():
