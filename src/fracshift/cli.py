@@ -60,6 +60,14 @@ _PARAM_HEADER = {"mu": "mu = {0.mu:g}", "a": "a = {0.a:g}",
 _FIG1_CROSSCHECK_BOUND = 1e-7
 
 
+def _positive(text: str) -> float:
+    """argparse type of a parameter value: a finite float > 0."""
+    with contextlib.suppress(ValueError):
+        if 0.0 < float(text) < math.inf:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"must be positive and finite: {text}")
+
+
 def parse_grid(text: str) -> np.ndarray:
     """``start:stop:count`` -> linspace, ``geom:a:b:n`` -> geomspace.
 
@@ -242,13 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid", default=None,
                            help="start:stop:count (linear) or geom:a:b:n "
                                 "(default: per family)")
-        p.add_argument("--mu", type=float, default=1.0,
+        p.add_argument("--mu", type=_positive, default=1.0,
                        help="laplace step exponent (default %(default)s)")
-        p.add_argument("--a", type=float, default=1.0,
+        p.add_argument("--a", type=_positive, default=1.0,
                        help="moebius window length (default %(default)s)")
         p.add_argument("--map", choices=sorted(_MAPS), default="log",
                        help="genshift coordinate map (default %(default)s)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+        p.add_argument("--tol", type=_positive, default=DEFAULT_TOL,
                        help="solver tolerance (default %(default)g)")
 
     p_solve = sub.add_parser("solve", help="solve one family, emit x,u CSV")
@@ -262,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "defining integral")
     p_verify.add_argument("family", choices=families)
     add_common(p_verify, with_grid_default="per-family")
-    p_verify.add_argument("--quad-tol", type=float, default=DEFAULT_QUAD_TOL,
+    p_verify.add_argument("--quad-tol", type=_positive, default=DEFAULT_QUAD_TOL,
                           help="residual quadrature tolerance "
                                "(default %(default)g)")
     p_verify.add_argument("--output", metavar="PATH",
@@ -277,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="upper end of the x range (default %(default)g)")
     p_fig.add_argument("--samples", type=int, default=201,
                        help="number of grid points (default %(default)s)")
-    p_fig.add_argument("--tol", type=float, default=1e-14,
+    p_fig.add_argument("--tol", type=_positive, default=1e-14,
                        help="series tolerance (default %(default)g)")
     p_fig.add_argument("--verify", action="store_true",
                        help="cross-check every value against direct "

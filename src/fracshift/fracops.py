@@ -137,6 +137,9 @@ def reflected_radial_map() -> CoordinateMap:
 
 _LOG_MAP = log_map()
 _REFLECTED_RADIAL_MAP = reflected_radial_map()
+# w = -1/x, q = x^2: the moebius kernel's shift by s is x/(1 + s x)
+_MOEBIUS_MAP = CoordinateMap(lambda x: -1.0 / x, lambda w: -1.0 / w,
+                             lambda x: x * x, (0.0, math.inf), "moebius")
 
 
 def _at_point(batch, what: str, lead: tuple, fs: tuple, x: float,
@@ -178,9 +181,19 @@ def _sampled(g: Callable[[np.ndarray], np.ndarray], xi: np.ndarray,
     return out
 
 
+def _zero_at_lo(lo: float, h: Callable) -> Callable:
+    """h on arrays, 0 at ``lo`` (a map's lower end), where h is not called."""
+    def g(xi):
+        return h(xi) if xi.min() > lo else _sampled(g, xi, xi > lo)
+    return g
+
+
 def _weyl(cmap: CoordinateMap, nu: float, g: Callable, xs: np.ndarray):
     """(integrand, ws): ws = F(xs), computed once, and integrand(ts, ws) the
     shift of g by t^(1/nu), whose integral over t is Gamma(nu+1) I^nu g."""
+    lo, hi = cmap.domain
+    if not ((xs >= lo) & (xs < hi)).all():
+        raise ValueError(f"arguments must lie in the domain [{lo}, {hi})")
     with np.errstate(divide="ignore"):  # F(lo) = -inf on the log map
         ws = np.asarray(cmap.F(xs), dtype=float)
     return (lambda ts, ws: _shifted(cmap, g, ws, ts ** (1.0 / nu))), ws
@@ -306,16 +319,8 @@ def generalized_half_batch(cmap: CoordinateMap,
     annihilates f(lo), and f'(lo) may be infinite (x^0.1 on the log map).
     """
     xs = np.asarray(xs, dtype=float)
-    lo, hi = cmap.domain
-    if not ((xs >= lo) & (xs < hi)).all():
-        raise ValueError(f"arguments must lie in the domain [{lo}, {hi})")
-
-    def g(xi):
-        if not xi.min() > lo:  # 0 at lo, where f' is not read
-            return _sampled(g, xi, xi > lo)
-        return _FOUR_OVER_PI * np.asarray(f_prime(xi), dtype=float) \
-            * np.asarray(cmap.q(xi), dtype=float)
-
+    g = _zero_at_lo(cmap.domain[0], lambda xi: _FOUR_OVER_PI * np.asarray(
+        f_prime(xi), dtype=float) * np.asarray(cmap.q(xi), dtype=float))
     return integrate_decaying_batch(*_weyl(cmap, 0.5, g, xs), tol=tol)
 
 

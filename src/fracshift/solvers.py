@@ -16,7 +16,9 @@ geometric expansion of (1 - exp(-a x^2 d/dx))^{-1} applied to x^2 f'.
 The shift families are gaussian (the generalized shift on the log map),
 radial (on the reflected radial map) and genshift; their solvers share one
 constructor, ``_half_power``, and their residuals its pass ``fracops._weyl``,
-both on the map named once in the family's entry.
+both on the map named once in the family's entry.  Moebius is the order-1
+shift on w = -1/x: its left side is that pass at nu = 1 cut at a, and its
+series sum_k g(w - k a) samples it at t = k a; all read g = f' q.
 
 Each family is one FamilyDef entry of FAMILIES, so adding a family means
 adding one entry.  Solvers return SolutionFn handles; nothing is precomputed
@@ -26,9 +28,10 @@ diagnostics.
 
 The gaussian, radial, genshift and moebius handles are one kind,
 ``_InterpolatingBatch`` over the family's kernel on a map: the half-power
-kernel on the family's map, or the moebius shift series on the log map
-(f(0) = 0 is required, so u vanishes at x = 0, where F = -inf).  The laplace
-series is the only other kind.  Such a handle has two paths, chosen by cost.
+kernel on the family's map, or the moebius shift series on the log map,
+where u = x^m is e^(m w); on -1/x it is |w|^-m, algebraic at s = -1, and
+x^1.5 does not certify by 256 intervals.  The laplace series is the only
+other kind.  Such a handle has two paths, chosen by cost.
 Until it has been asked for 160 points in all (about the kernel work of one
 build), each ``eval_batch`` is one kernel pass, so small uses get the
 kernel's values bit for bit.  The call that reaches 160 builds, once, a
@@ -127,10 +130,11 @@ def _map_descends_at_zero(cmap: CoordinateMap | None) -> bool:
         and _end_values(cmap)[0] == -math.inf
 
 
-def _weyl_half(spec: EquationSpec, ev, xs):
-    """LHS terms u(F_inv(F(x) - y^2)) on the family's map, over the columns
-    F(xs): the half-power kernel's own pass ``fracops._weyl``."""
-    return fracops._weyl(FAMILIES[spec.family].cmap(spec), 0.5, ev, xs)
+def _weyl_terms(nu: float):
+    """LHS terms u(F_inv(F(x) - y^(1/nu))) on the family's map, over the
+    columns F(xs): the pass ``fracops._weyl`` of order nu."""
+    return lambda spec, ev, xs: fracops._weyl(
+        FAMILIES[spec.family].cmap(spec), nu, ev, xs)
 
 
 # The solvers take an admitted EquationSpec; the public solve_* build one.
@@ -139,7 +143,7 @@ FAMILIES: dict[Family, FamilyDef] = {
         ("f", "f_prime"),
         lambda spec, tol: _half_power(spec, "half power of the scale derivative",
                                       "gaussian dilation kernel", tol),
-        _weyl_half,
+        _weyl_terms(0.5),
         1e-6, "geom:0.1:5:25", positive=(),
         cmap=lambda spec: fracops._LOG_MAP, upper=None,
     ),
@@ -153,7 +157,7 @@ FAMILIES: dict[Family, FamilyDef] = {
     Family.RADIAL: FamilyDef(
         ("f", "f_prime"),
         lambda spec, tol: _solve_radial(spec, tol),
-        _weyl_half,
+        _weyl_terms(0.5),
         1e-6, "0:3:13", positive=(),
         cmap=lambda spec: fracops._REFLECTED_RADIAL_MAP, upper=None,
     ),
@@ -162,17 +166,16 @@ FAMILIES: dict[Family, FamilyDef] = {
         lambda spec, tol: _half_power(
             spec, f"half power transported by '{spec.cmap.name}' map",
             "transported half kernel", tol),
-        _weyl_half,
+        _weyl_terms(0.5),
         1e-6, "geom:0.1:5:25", positive=(), cmap=lambda spec: spec.cmap,
         upper=None,
     ),
     Family.MOEBIUS: FamilyDef(
         ("f", "f_prime", "a"),
         lambda spec, tol: _solve_moebius(spec, tol),
-        lambda spec, ev, xs: (lambda ys, xs: ev(
-            xs[None, :] / (1.0 + np.outer(ys, xs))), xs),
+        _weyl_terms(1.0),
         1e-5, "geom:0.1:3:15", positive=("a",),
-        cmap=lambda spec: fracops._LOG_MAP, upper="a",
+        cmap=lambda spec: fracops._MOEBIUS_MAP, upper="a",
     ),
 }
 
@@ -448,36 +451,35 @@ _K_CAP = 100_000
 
 
 class _ShiftTerms:
-    """Terms h(x_k) = x_k^2 f'(x_k), x_k = x/(1 + k a x), k = 0, 1, ..., of
-    the moebius shift series at the arguments ``xs`` > 0.  Each term is
-    computed once: a larger cutoff evaluates f' on the new rows only.  A
-    non-finite f or f' raises QuadratureDomainError naming its argument."""
+    """Terms g(w - k a), g = f' q, k = 0, 1, ..., of the moebius shift series
+    on w = -1/x at the arguments ``xs`` >= 0, each term computed once: a
+    larger cutoff evaluates f' on the new rows only.  A non-finite f or f'
+    raises QuadratureDomainError naming its argument."""
 
     def __init__(self, f, f_prime, a: float, xs: np.ndarray):
-        self.f, self.f_prime, self.a = f, f_prime, a
-        self.xs = np.asarray(xs, dtype=float)
-        self.live = self.xs > 0.0
-        self.xl = self.xs[self.live]
-        self.h = np.empty((0, len(self.xl)))
-
-    def _args(self, ks) -> np.ndarray:
-        """x_k for each k in ``ks`` (an array of rows, or one float)."""
-        return self.xl / (1.0 + self.a * np.multiply.outer(ks, self.xl))
+        self.f = fracops._zero_at_lo(0.0, f)
+        self.g = fracops._zero_at_lo(0.0, lambda xi: np.asarray(
+            f_prime(xi), dtype=float) * fracops._MOEBIUS_MAP.q(xi))
+        xs = np.asarray(xs, dtype=float)
+        if not ((xs >= 0.0) & (xs < math.inf)).all():
+            raise ValueError("arguments must be >= 0 and finite")
+        self.a, self.h = a, np.empty((0, len(xs)))
+        with np.errstate(divide="ignore"):  # F(0) = -inf
+            self.ws = fracops._MOEBIUS_MAP.F(xs)
 
     def partial_sum(self, K: int) -> np.ndarray:
         """u_K at ``xs``, 0 where x = 0 (see moebius_partial_sum)."""
-        out = np.zeros_like(self.xs)
-        if not self.live.any():
-            return out
+        if not self.ws.size:
+            return np.zeros(0)
         if len(self.h) < K + 3:
-            xk = self._args(np.arange(len(self.h), K + 3, dtype=float))
-            self.h = np.concatenate(
-                [self.h, xk * xk * fracops._sampled(self.f_prime, xk)])
+            ks = np.arange(len(self.h), K + 3, dtype=float)
+            self.h = np.concatenate([self.h, fracops._shifted(
+                fracops._MOEBIUS_MAP, self.g, self.ws, ks * self.a)])
         h = self.h
-        tail = fracops._sampled(self.f, self._args(K + 1.0)) \
+        tail = fracops._shifted(fracops._MOEBIUS_MAP, self.f, self.ws,
+                                np.array([(K + 1.0) * self.a]))[0] \
             / self.a + 0.5 * h[K + 1] - (h[K + 2] - h[K]) / 24.0
-        out[self.live] = h[: K + 1].sum(axis=0) + tail
-        return out
+        return h[: K + 1].sum(axis=0) + tail
 
 
 def moebius_partial_sum(f, f_prime, a: float, xs: np.ndarray,
@@ -501,12 +503,10 @@ def solve_moebius(f, f_prime, a: float, tol: float = DEFAULT_TOL) -> SolutionFn:
 
 
 def _solve_moebius(spec: EquationSpec, tol: float) -> SolutionFn:
-    a = spec.a
-    fv = vectorized(spec.f)
-    fp = vectorized(spec.f_prime)
+    fv, fp = vectorized(spec.f), vectorized(spec.f_prime)
 
     def converge(xs: np.ndarray):
-        terms = _ShiftTerms(fv, fp, a, xs)
+        terms = _ShiftTerms(fv, fp, spec.a, xs)
         K = _K_START
         prev = terms.partial_sum(K)
         while True:
@@ -523,16 +523,13 @@ def _solve_moebius(spec: EquationSpec, tol: float) -> SolutionFn:
             K, prev = K2, cur
 
     def eval_batch(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if not ((xs >= 0.0) & (xs < math.inf)).all():
-            raise ValueError("arguments must be >= 0 and finite")
         return converge(xs)[0]
 
     _, k_probe, diff_probe = converge(np.array([1.0]))
     return SolutionFn(None, "geometric shift series, tail closed by "
                       "Euler-Maclaurin", k_probe, diff_probe, Family.MOEBIUS,
-                      _InterpolatingBatch(FAMILIES[spec.family].cmap(spec),
-                                          eval_batch))
+                      # on the log map, not -1/x: see the module docstring
+                      _InterpolatingBatch(fracops._LOG_MAP, eval_batch))
 
 
 def solve(spec: EquationSpec, tol: float = DEFAULT_TOL) -> SolutionFn:

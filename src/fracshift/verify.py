@@ -154,8 +154,9 @@ def residual(spec: EquationSpec, u, grid: Sequence[float],
     if xs.ndim != 1 or xs.size == 0 or not np.isfinite(xs).all():
         raise ValueError("grid must be a non-empty 1-d sequence of finite "
                          "points")
-    rhs = np.array([spec.rhs(float(x)) for x in xs])
+    # the LHS first: its pass refuses points outside the family's map
     lhs, errs = _lhs_values(spec, u, xs, quad_tol / 10.0)
+    rhs = np.array([spec.rhs(float(x)) for x in xs])
 
     failed = ~np.isfinite(lhs) | (errs > quad_tol)
     resid = np.abs(lhs - rhs)

@@ -208,9 +208,15 @@ def test_moebius_rejects_nonvanishing_data(argv):
     (("fig1", "--nu", "nan"), 2, "nu must be >= 0.5 and finite"),
     (("fig1", "--x-max", "inf"), 2, "--x-max must be positive and finite"),
     (("solve", "laplace", "--f", "exp-decay", "--mu", "inf", "--grid",
-      "0:1:3"), 1, "needs mu > 0 and finite"),
+      "0:1:3"), 2, "argument --mu: must be positive and finite"),
+    (("solve", "moebius", "--f", "monomial:2", "--a", "nan", "--grid",
+      "0:1:3"), 2, "argument --a: must be positive and finite"),
+    (("solve", "gaussian", "--f", "monomial:2", "--tol", "nan", "--grid",
+      "0:1:3"), 2, "argument --tol: must be positive and finite"),
+    (("verify", "gaussian", "--f", "monomial:2", "--quad-tol", "-1"),
+     2, "argument --quad-tol: must be positive and finite"),
 ], ids=["geom inf", "linear nan", "fig1 nu nan", "fig1 x-max inf",
-        "laplace mu inf"])
+        "laplace mu inf", "moebius a nan", "tol nan", "quad-tol -1"])
 def test_nonfinite_input_is_refused(argv, code, fragment):
     # named as bad input, not reported as a numeric failure or a number
     proc = run_cli(*argv)
@@ -244,6 +250,7 @@ def test_parse_grid_refusals(text, fragment):
     (["--x-max", "0"], "--x-max must be positive"),
     (["--nu", "nan"], "nu must be >= 0.5 and finite"),
     (["--x-max", "inf"], "--x-max must be positive and finite"),
+    (["--tol", "0"], "argument --tol: must be positive and finite"),
 ])
 def test_fig1_usage_errors(args, fragment, capsys):
     with pytest.raises(SystemExit) as exc:

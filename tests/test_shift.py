@@ -7,7 +7,9 @@ depend on the code under test:
 
 - dilation covariance: with f_c(x) = f(cx) the solution of the rescaled
   equation is u_c(x) = u(cx) on the log map, and u_c(x) = c u(cx) on the
-  radial map (substitute y -> cy in the defining integral);
+  radial map (substitute y -> cy in the defining integral); the moebius
+  equation with data c f(cx) on the window (0, c a), and the laplace
+  equation with coefficients a_n c^n, are solved by u(cx);
 - eigenfunctions: the defining integral maps x^p to (sqrt(pi)/2) p^(-1/2) x^p
   on the log map, and e^(-p x^2) to (1/2) sqrt(pi/(2p)) e^(-p x^2) on the
   radial map, so the closed-form solution closes the residual to rounding.
@@ -22,7 +24,9 @@ import pytest
 from fracshift import fracops
 from fracshift.fracops import log_map, reflected_radial_map
 from fracshift.quadrature import integrate_decaying_batch
-from fracshift.solvers import EquationSpec, Family, SolutionFn, solve
+from fracshift.series import PowerSeries
+from fracshift.solvers import (EquationSpec, Family, SolutionFn, solve,
+                               solve_laplace_dilation, solve_moebius)
 from fracshift.verify import residual
 
 # (family, map keyword, map kind)
@@ -88,6 +92,35 @@ def test_dilation_covariance(case, draw):
     u_c = solve(_spec(case, _dilated(f, c, 1.0), _dilated(fp, c, c)), tol=1e-12)
     expect = (c if radial else 1.0) * u.eval_batch(c * xs)
     np.testing.assert_allclose(u_c.eval_batch(xs), expect, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [7, 300], ids=["kernel", "interpolant"])
+@pytest.mark.parametrize("draw", range(4))
+def test_moebius_dilation_covariance(draw, n):
+    # int_0^(ca) u(c x/(1 + x y)) dy = c f(cx) (y -> c y): the series takes
+    # the same terms, so both paths agree to rounding; 300 points build
+    rng = random.Random(f"moebius-{draw}")
+    f, fp = _log_data(rng)
+    a, c = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+    xs = np.geomspace(0.2, 3.0, n)
+    u = solve_moebius(f, fp, a)
+    u_c = solve_moebius(_dilated(f, c, c), _dilated(fp, c, c * c), c * a)
+    np.testing.assert_allclose(u_c.eval_batch(xs), u.eval_batch(c * xs),
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("draw", range(4))
+def test_laplace_dilation_covariance(draw):
+    # f(cx) has the coefficients a_n c^n, and the coefficient map is diagonal
+    rng = random.Random(f"laplace-{draw}")
+    coeffs = np.array([rng.uniform(0.0, 1.0) / math.factorial(k)
+                       for k in range(16)])
+    mu, c = rng.uniform(0.5, 2.5), rng.uniform(0.5, 2.0)
+    xs = np.linspace(0.0, 2.0, 7)
+    u = solve_laplace_dilation(PowerSeries(coeffs), mu)
+    u_c = solve_laplace_dilation(PowerSeries(coeffs * c ** np.arange(16)), mu)
+    np.testing.assert_allclose(u_c.eval_batch(xs), u.eval_batch(c * xs),
+                               rtol=1e-12, atol=0.0)
 
 
 def _eigenpair(kind, p):
@@ -162,17 +195,20 @@ WEYL_MAPS = {
     "log": (log_map(), np.geomspace(0.1, 5.0, 9), lambda x, b: x ** b),
     "reflected-radial": (reflected_radial_map(), np.linspace(0.0, 3.0, 7),
                          lambda x, b: np.exp(-0.5 * b * x * x)),
+    "moebius": (fracops._MOEBIUS_MAP, np.geomspace(0.1, 5.0, 9),
+                lambda x, b: np.exp(-b / x)),
 }
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("nu", [0.25, 0.5, 0.75, 1.5])
+@pytest.mark.parametrize("nu", [0.25, 0.5, 0.75, 1.0, 1.5])
 @pytest.mark.parametrize("kind", list(WEYL_MAPS))
 def test_weyl_pass_symbol(kind, nu, beta):
     # e^(beta w) is an eigenfunction of the Weyl integral of order nu in
     # w = F(x): int_0^inf e^(beta (w - t^(1/nu))) dt = Gamma(nu+1) beta^-nu
-    # e^(beta w), that is x^beta on the log map and e^(-beta x^2/2) on the
-    # reflected radial map (x = 0 included)
+    # e^(beta w), that is x^beta on the log map, e^(-beta x^2/2) on the
+    # reflected radial map (x = 0 included) and e^(-beta/x) on the moebius
+    # map, whose order-1 pass is the moebius residual and series
     cmap, xs, e = WEYL_MAPS[kind]
     exact = math.gamma(nu + 1.0) * beta ** -nu * e(xs, beta)
     integrand, ws = fracops._weyl(cmap, nu, lambda x: e(x, beta), xs)

@@ -129,6 +129,9 @@ def test_direct_solvers_keep_data_nonzero_at_origin(solver):
     (lambda: solve_moebius(lambda x: x * np.sin(1.0 / x),
                            lambda x: np.sin(1.0 / x) - np.cos(1.0 / x) / x, 1.0),
      ConvergenceError, "cap K=131072"),
+    # the series itself refuses x < 0, where w = -1/x leaves the map's range
+    (lambda: moebius_partial_sum(_identity, _one, 1.0, np.array([-1.0]), 64),
+     ValueError, "arguments must be >= 0 and finite"),
 ])
 def test_solver_refusals(call, error, fragment):
     with pytest.raises(error, match=fragment):

@@ -273,11 +273,20 @@ def test_radial_kernel_discrepancy_pair():
     (lambda: residual(EquationSpec(Family.MOEBIUS, f=_identity, f_prime=_one,
                                    a=1.0), _uncalled, [1.0, math.inf]),
      "of finite points"),
+    # outside the family's map: -1/x and log x leave the range the kernel
+    # shifts on, where the pass would read 0 in place of u
+    (lambda: residual(EquationSpec(Family.MOEBIUS, f=_identity, f_prime=_one,
+                                   a=1.0), _uncalled, [-0.5, 1.0]),
+     r"must lie in the domain \[0.0, inf\)"),
+    (lambda: residual(EquationSpec(Family.GAUSSIAN_DILATION, f=_identity,
+                                   f_prime=_one), _uncalled, [-1.0, 1.0]),
+     r"must lie in the domain \[0.0, inf\)"),
     (lambda: conjecture_check(0.5, PowerSeries((0.0, 1.0)), math.inf, 5),
      "x must be positive and finite"),
     (lambda: conjecture_check(0.5, PowerSeries((0.0, 1.0)), math.nan, 5),
      "x must be positive and finite"),
-], ids=["residual nan", "residual inf", "conjecture x=inf", "conjecture x=nan"])
+], ids=["residual nan", "residual inf", "moebius x<0", "gaussian x<0",
+        "conjecture x=inf", "conjecture x=nan"])
 def test_verify_refusals(call, fragment):
     # refused before the candidate is evaluated, not reported as a number
     with pytest.raises(ValueError, match=fragment):
