@@ -319,9 +319,14 @@ def generalized_half_batch(cmap: CoordinateMap,
     annihilates f(lo), and f'(lo) may be infinite (x^0.1 on the log map).
     """
     xs = np.asarray(xs, dtype=float)
-    g = _zero_at_lo(cmap.domain[0], lambda xi: _FOUR_OVER_PI * np.asarray(
+    return integrate_decaying_batch(
+        *_weyl(cmap, 0.5, _half_data(cmap, f_prime), xs), tol=tol)
+
+
+def _half_data(cmap: CoordinateMap, f_prime: Callable) -> Callable:
+    """g = (4/pi) f' q: the half-power kernel is ``_weyl`` of g at 1/2."""
+    return _zero_at_lo(cmap.domain[0], lambda xi: _FOUR_OVER_PI * np.asarray(
         f_prime(xi), dtype=float) * np.asarray(cmap.q(xi), dtype=float))
-    return integrate_decaying_batch(*_weyl(cmap, 0.5, g, xs), tol=tol)
 
 
 def generalized_half(cmap: CoordinateMap, f: Callable[[float], float],

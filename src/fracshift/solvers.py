@@ -27,27 +27,29 @@ except for laplace, whose compensated series evaluation keeps its
 diagnostics.
 
 The gaussian, radial, genshift and moebius handles are one kind,
-``_InterpolatingBatch`` over the family's kernel on a map: the half-power
-kernel on the family's map, or the moebius shift series on the log map,
-where u = x^m is e^(m w); on -1/x it is |w|^-m, algebraic at s = -1, and
-x^1.5 does not certify by 256 intervals.  The laplace series is the only
-other kind.  Such a handle has two paths, chosen by cost.
-Until it has been asked for 160 points in all (about the kernel work of one
-build), each ``eval_batch`` is one kernel pass, so small uses get the
-kernel's values bit for bit.  The call that reaches 160 builds, once, a
-Chebyshev interpolant of u in the transported variable w = F(x) (Boyd,
-Chebyshev and Fourier Spectral Methods, ch. 17): points s of the second kind
-on [-1, 1], mapped by w = w_top - 2 (1 - s)/(1 + s), where w_top is the
-largest F(x) asked so far, or F at the lower end where F falls to -inf at
-the upper one (0 on the reflected radial map).  It interpolates
-v = u/(1 + s), with v = 0 at s = -1, where u vanishes, and answers (1 + s) v
-by the barycentric formula (Trefethen, Approximation Theory and
-Approximation Practice).  The nodes start at 16 intervals and double,
-nested, one kernel pass each; the certificate is that the previous
-interpolant predicts the new node values within 1e-13 max |v|, a relative
-gap, so c f takes the path of f.  The handle keeps the kernel for good when
-no certificate comes by 256 intervals, when a kernel pass on the nodes
-fails, or when the map's F is -inf at neither end of its domain; arguments
+``_InterpolatingBatch`` on the family's map (moebius on the log map: on
+-1/x, u = x^m is |w|^-m, algebraic at s = -1, and x^1.5 does not certify by
+256 intervals); laplace has its series.  Until a handle has been asked for
+160 points in all, each ``eval_batch`` is one kernel pass, bit for bit.  The
+call that reaches 160 builds, once, a Chebyshev interpolant of u in w = F(x)
+(Boyd, Chebyshev and Fourier Spectral Methods, ch. 17): points s of the
+second kind on [-1, 1], w = w_top - 2 (1 - s)/(1 + s), with w_top the
+largest F(x) asked, or F at the lower end where F falls to -inf at the upper
+one (0 on the reflected radial map).  It holds v = u/(1 + s), 0 at s = -1,
+and answers (1 + s) v by the barycentric formula (Trefethen, Approximation
+Theory and Approximation Practice).  The nodes start at 16 intervals and
+double, nested, until the previous interpolant predicts the new node values
+within 1e-13 of their max, so c f takes the path of f.  Moebius doubles on
+v, one series pass each; the half-power families double on their data
+g/(1 + s), g = (4/pi) f' q, at N + 1 data points, and u = int_0^inf
+g(w - t^2) dt reads sqrt(1 + s) int_{-1}^s (g/(1 + r)) (1 + r)^(-1/2)
+(s - r)^(-1/2) dr.  That integral of the fourth-kind Chebyshev polynomial
+W_n is pi P_n(s) (Hale & Olver, SIAM J. Sci. Comput. 2018), so g/(1 + s) =
+sum a_n W_n gives u = pi sqrt(1 + s) sum a_n P_n(s), rounded by about
+eps sum |a_n| everywhere; past 1e-3 of the handle's tol, a kernel pass on
+the nodes gives u instead.  The handle keeps the kernel for good when
+nothing certifies by 256 intervals or the gap stops falling, when a pass on
+the nodes fails, or when F is -inf at neither end of the domain; arguments
 above w_top always take the kernel.
 
 Solvers probe the callables they read at x in {0.5, 1.5} and wrap one that
@@ -65,6 +67,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
+from numpy.polynomial.legendre import legval
 
 from . import fracops
 from .errors import ConvergenceError
@@ -230,9 +233,9 @@ class SolutionFn:
 
     The gaussian, radial, genshift and moebius handles answer from their
     kernel until they have been asked for 160 points, then from an
-    interpolant certified to 1e-13 relative, or from the kernel for good
-    where none certifies (see the module docstring); laplace answers from
-    its series.
+    interpolant whose data or series values certify to 1e-13 relative, or
+    from the kernel for good where none certifies (see the module
+    docstring); laplace answers from its series.
 
     ``error_estimate`` is not the same quantity for every family, and on
     neither path is it the error of the interpolant.  For the half-power
@@ -262,18 +265,17 @@ class SolutionFn:
         return self.eval(x)
 
 
-# Points asked before a handle builds its interpolant: about the kernel work
-# of one build, so a handle never costs much more than twice the kernel alone
-# (ski rental).  A build that certifies at 128 intervals costs as many data
-# points as the kernel spends on 124 asked points (the moebius series, whose
-# cost per point hardly depends on the point), 165 (a Gaussian pair on the
-# reflected radial map) or 186 (x^2 e^-x on the log map).  The build
-# doubles its Chebyshev intervals from _N_START to at most _N_CAP; _CERTIFY
-# is the relative certificate gap.
+# Points asked before a handle builds its interpolant: about the series work
+# of a moebius build that certifies at 128 intervals, so a handle never costs
+# much more than twice the kernel alone (ski rental); a half-power build
+# costs N + 1 data points, or a kernel pass on N nodes.  _CERTIFY is the
+# relative gap; the closed form's rounding bound 4 eps pi sqrt(2) sum |a_n|
+# stays within 1e-3 tol while sum |a_n| <= _ROUNDING tol.
 _BUILD_AFTER = 160
 _N_START = 16
 _N_CAP = 256
 _CERTIFY = 1e-13
+_ROUNDING = 1e-3 / (4.0 * np.finfo(float).eps * math.pi * math.sqrt(2.0))
 _BLOCK = 2048  # arguments per barycentric product, so memory stays bounded
 
 
@@ -286,12 +288,12 @@ def _barycentric(s: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
     wv = np.stack([wts * v, wts], axis=1)
     out = np.empty(len(t))
     for i in range(0, len(t), _BLOCK):
-        d = t[i:i + _BLOCK, None] - s
-        rows, cols = np.nonzero(d == 0.0)
-        d[rows, cols] = 1.0
-        num, den = ((1.0 / d) @ wv).T
-        blk = num / den
-        blk[rows] = v[cols]  # an argument on a node takes its value
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = t[i:i + _BLOCK, None] - s
+            num, den = ((1.0 / d) @ wv).T
+            blk = num / den
+        bad = ~np.isfinite(blk)  # an argument on a node takes its value
+        blk[bad] = v[np.abs(d[bad]).argmin(axis=1)]
         out[i:i + _BLOCK] = blk
     return out
 
@@ -300,11 +302,14 @@ class _InterpolatingBatch:
     """``eval_batch`` of a handle: ``kernel`` (xs -> u) until the handle has
     been asked for _BUILD_AFTER points, then, where one is certified, a
     Chebyshev interpolant of u in the transported variable w = F(x) on
-    ``cmap`` (see the module docstring)."""
+    ``cmap``, built from the ``data`` g where given (see the module
+    docstring); its closed form takes sum |a_n| up to ``bound``."""
 
     def __init__(self, cmap: CoordinateMap,
-                 kernel: Callable[[np.ndarray], np.ndarray]):
+                 kernel: Callable[[np.ndarray], np.ndarray],
+                 data: Callable | None = None, bound: float = 0.0):
         self.cmap, self.kernel = cmap, kernel
+        self.data, self.bound = data, bound
         self.asked = 0
         self.nodes: tuple[np.ndarray, np.ndarray] | None = None  # (s, v)
         f_lo, f_hi = _end_values(cmap)
@@ -312,8 +317,9 @@ class _InterpolatingBatch:
         # kernel.  F(lo) tops the range when F falls to -inf at hi, and the
         # kernel takes x = lo; else the top is the largest F(x) asked.
         self.kernel_only = -math.inf not in (f_lo, f_hi)
-        self.w_top = f_lo if f_hi == -math.inf and math.isfinite(f_lo) \
-            and math.isfinite(cmap.domain[0]) else -math.inf
+        self.top_at_lo = f_hi == -math.inf and math.isfinite(f_lo) \
+            and math.isfinite(cmap.domain[0])
+        self.w_top = f_lo if self.top_at_lo else -math.inf
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -341,34 +347,53 @@ class _InterpolatingBatch:
         out[near] = one_s * _barycentric(*self.nodes, one_s - 1.0)
         return out
 
-    def node_values(self, theta: np.ndarray) -> np.ndarray:
-        """v = u / (1 + s) at the nodes s = cos(theta), theta < pi."""
+    def node_values(self, theta: np.ndarray, f: Callable) -> np.ndarray:
+        """f / (1 + s) at the nodes s = cos(theta), theta < pi."""
         half = 0.5 * theta
         xs = self.cmap.F_inv(self.w_top - 2.0 * np.tan(half) ** 2)
-        return self.kernel(np.asarray(xs, dtype=float)) \
-            / (2.0 * np.cos(half) ** 2)
+        return f(np.asarray(xs, dtype=float)) / (2.0 * np.cos(half) ** 2)
 
     def build(self) -> None:
         """Double the nodes from _N_START until the previous interpolant
         predicts the new node values within _CERTIFY max |v|, or keep the
-        kernel for good once _N_CAP is reached or a kernel pass fails."""
-        n = _N_START
+        kernel for good at _N_CAP, once the gap stops falling or where a
+        pass on the nodes fails.  v(-1) = 0 is a node, so data that do not
+        vanish there never certify."""
+        def top(v):  # f' q is not sampled at x = lo (0 inf on the radial
+            if self.top_at_lo:  # map): v(1) zeroes the top coefficient
+                v[0] = 2.0 * (v[1:-1:2].sum() - v[2:-1:2].sum())
+            return v
+        f, n, gap = self.data or self.kernel, _N_START, math.inf
         theta = math.pi * np.arange(n + 1) / n
         try:
-            v = np.append(self.node_values(theta[:-1]), 0.0)  # v(-1) = 0
-            while 2 * n <= _N_CAP:
-                n *= 2
+            v = top(np.append(self.node_values(theta[:-1], f), 0.0))
+            while 2 * n <= _N_CAP and (n == _N_START or gap < last):
+                n, last = 2 * n, gap
                 fine = math.pi * np.arange(n + 1) / n  # nested: theta[::2]
-                new = self.node_values(fine[1::2])
+                new = self.node_values(fine[1::2], f)
                 gap = np.abs(_barycentric(np.cos(theta), v,
-                                          np.cos(fine[1::2])) - new)
-                theta, v = fine, np.insert(v, np.arange(1, len(v)), new)
-                if gap.max() <= _CERTIFY * np.abs(v).max():
-                    self.nodes = (np.cos(theta), v)
+                                          np.cos(fine[1::2])) - new).max()
+                theta, v = fine, top(np.insert(v, np.arange(1, len(v)), new))
+                if gap <= _CERTIFY * np.abs(v).max():
+                    self.nodes = (np.cos(theta), self.solution(theta, v))
                     return
-        except (ArithmeticError, ValueError):  # a node the kernel refuses
+        except (ArithmeticError, ValueError):  # a node the pass refuses
             pass
         self.kernel_only = True
+
+    def solution(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """u/(1 + s) at the nodes: ``v`` itself without data, else from the
+        data values ``v`` by the closed form (see the module docstring), or
+        by the kernel where sum |a_n| passes the bound."""
+        if self.data is None:
+            return v
+        a = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / (2 * len(v) - 2)
+        a[-1] *= 0.5  # a is T coefficients / 2, then W ones by
+        a[:-1] -= a[1:]  # T_n = (W_n - W_{n-1})/2
+        if np.abs(a).sum() > self.bound:
+            return np.append(self.node_values(theta[:-1], self.kernel), 0.0)
+        s = np.cos(theta[:-1])
+        return np.append(math.pi * legval(s, a) / np.sqrt(1.0 + s), 0.0)
 
 
 def _half_power(spec: EquationSpec, method: str, what: str,
@@ -382,8 +407,8 @@ def _half_power(spec: EquationSpec, method: str, what: str,
         res = fracops.generalized_half_batch(cmap, fp, xs, tol)
         return res.converged_values(what)
 
-    return SolutionFn(None, method, None, tol, spec.family,
-                      _InterpolatingBatch(cmap, kernel))
+    return SolutionFn(None, method, None, tol, spec.family, _InterpolatingBatch(
+        cmap, kernel, fracops._half_data(cmap, fp), _ROUNDING * tol))
 
 
 def solve_gaussian_dilation(f, f_prime, tol: float = DEFAULT_TOL) -> SolutionFn:

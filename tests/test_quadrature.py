@@ -552,7 +552,27 @@ def test_gaussian_residual_point_count():
     rep = residual(spec, solve(spec), np.geomspace(0.1, 3.0, 12))
     assert rep.quad_failures == 0
     assert rep.max_abs < 1e-12
-    assert sum(points) <= 12_475
+    assert sum(points) <= 126
+
+
+def test_radial_residual_point_count():
+    # counted f' points of one fixed residual: the solver's two-point probe
+    # of f' and one build
+    # (13,592 before the half-power handle certified its data and took the
+    # half integral in closed form)
+    points = []
+
+    def fp(x):
+        x = np.asarray(x, dtype=float)
+        points.append(x.size)
+        return -2.0 * x * np.exp(-x * x)
+
+    spec = EquationSpec(Family.RADIAL, f=lambda x: np.exp(-np.square(x)),
+                        f_prime=fp)
+    rep = residual(spec, solve(spec), np.linspace(0.0, 3.0, 13))
+    assert rep.quad_failures == 0
+    assert rep.max_abs < 1e-12
+    assert sum(points) <= 129
 
 
 def test_moebius_residual_point_count():

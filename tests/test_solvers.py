@@ -417,7 +417,7 @@ def _same(g):
 @pytest.mark.parametrize("name", sorted(_HANDLES))
 def test_interpolant_agrees_with_kernel(name):
     # 200 points are past the build threshold, so the handle builds; all but
-    # x^0.1 certify by N = 256 (its gap is still 1.8e-9 there) and then
+    # x^0.1 certify by N = 256 (its data gap is still 1.8e-9 there) and then
     # answer from the interpolant
     case = _HANDLES[name]
     u = case.make(_same, 1e-10)
@@ -498,16 +498,74 @@ def test_interpolant_is_scale_covariant(name):
 def test_kinked_data_keeps_the_kernel():
     # f = x |x - 1| has a kink at 1, so no interpolant certifies once x = 2
     # has been asked; the handle answers from the kernel, without error (the
-    # arguments below 1 keep the kernel passes short)
+    # arguments below 1 keep the kernel passes short).  The failed build
+    # costs its data points only, at most one per node (5,659,080 with the
+    # kernel when the build certified the solution by kernel passes)
     f = lambda x: _arr(x) * np.abs(_arr(x) - 1.0)
     fp = lambda x: np.where(_arr(x) > 1.0, 2.0 * _arr(x) - 1.0,
                             1.0 - 2.0 * _arr(x))
-    u = solve_gaussian_dilation(f, fp)
+    seen, want = [], []
+    u = solve_gaussian_dilation(f, _counted_prime(fp, seen))
+    seen.clear()
     for xs in (np.linspace(0.5, 0.95, _BUILD_AFTER - 1), np.array([2.0]),
                np.array([0.7, 1.5])):
-        ref = generalized_half_batch(log_map(), fp, xs).values
-        assert np.array_equal(u.eval_batch(xs), ref)
+        ref = generalized_half_batch(log_map(), _counted_prime(fp, want), xs)
+        assert np.array_equal(u.eval_batch(xs), ref.values)
     assert u.eval_batch.kernel_only and u.eval_batch.nodes is None
+    assert 0 < sum(seen) - sum(want) <= 248
+
+
+def test_data_that_do_not_vanish_keep_the_kernel():
+    # x^2 on the reflected radial map has g = f' q = -8/pi everywhere, so
+    # g/(1 + s) does not vanish at s = -1 and its half integral diverges: the
+    # build gives up after a few doublings and every call, the one that
+    # builds included, is the kernel's, which refuses
+    seen, want = [], []
+    fp = lambda x: 2.0 * _arr(x)
+    u = solve_generalized_shift(reflected_radial_map(), np.square,
+                                _counted_prime(fp, seen))
+    seen.clear()
+    xs = np.linspace(0.5, 2.5, _BUILD_AFTER)
+    with pytest.raises(ConvergenceError):
+        u.eval_batch(xs)
+    generalized_half_batch(reflected_radial_map(), _counted_prime(fp, want), xs)
+    assert u.eval_batch.kernel_only and u.eval_batch.nodes is None
+    assert 0 < sum(seen) - sum(want) <= 63
+
+
+def test_half_integral_of_fourth_kind_is_legendre():
+    # int_{-1}^x (x - s)^(-1/2) (1 + s)^(-1/2) W_n(s) ds = pi P_n(x), the
+    # closed form the half-power builds rest on; s = -1 + (1 + x) sin^2 phi
+    # removes both end singularities, leaving 2 int_0^(pi/2) W_n(s) dphi
+    phi, wq = np.polynomial.legendre.leggauss(64)
+    phi, wq = 0.25 * math.pi * (phi + 1.0), 0.25 * math.pi * wq
+    for x in np.linspace(-0.9, 0.9, 7):
+        half = 0.5 * np.arccos(-1.0 + (1.0 + x) * np.sin(phi) ** 2)
+        for n in range(25):
+            w_n = np.sin((2 * n + 1) * half) / np.sin(half)  # W_n(cos 2 half)
+            p_n = np.polynomial.legendre.legval(x, [0.0] * n + [1.0])
+            assert abs(2.0 * wq @ w_n - math.pi * p_n) <= 1e-13
+
+
+@pytest.mark.parametrize("cmap, xs", [
+    (log_map(), np.geomspace(0.1, 5.0, 200)),
+    (reflected_radial_map(), np.linspace(0.0, 3.0, 200)),
+], ids=["log", "reflected-radial"])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_handle_on_exponential_data_is_its_eigenvalue(cmap, xs, beta):
+    # e^(beta F) is an eigenfunction of the generator, with eigenvalue beta,
+    # so u = (2/sqrt(pi)) sqrt(beta) e^(beta F); a built handle takes it
+    # from the closed form (the error is global, about eps sum |a_n|, so
+    # the bound is absolute where |u| < 1)
+    def f(x):
+        return np.exp(beta * cmap.F(_arr(x)))
+
+    u = solve_generalized_shift(
+        cmap, f, lambda x: beta * f(x) / cmap.q(_arr(x)))
+    got = u.eval_batch(xs)
+    want = 2.0 / math.sqrt(math.pi) * math.sqrt(beta) * f(xs)
+    assert u.eval_batch.nodes is not None
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, want))
 
 
 _IDENTITY_MAP = CoordinateMap(lambda x: x * 1.0, lambda w: w * 1.0,
