@@ -18,7 +18,9 @@ radial (on the reflected radial map) and genshift; their solvers share one
 constructor, ``_half_power``, and their residuals its pass ``fracops._weyl``,
 both on the map named once in the family's entry.  Moebius is the order-1
 shift on w = -1/x: its left side is that pass at nu = 1 cut at a, and its
-series sum_k g(w - k a) samples it at t = k a; all read g = f' q.
+series sum_k g(w - k a) samples it at t = k a; all read g = f' q.  The
+series' tail past K is Gregory's end correction of order 8 on the rows
+k = K+1 .. K+9 it already has, and K doubles from 16.
 
 Each family is one FamilyDef entry of FAMILIES, so adding a family means
 adding one entry.  Solvers return SolutionFn handles; nothing is precomputed
@@ -241,9 +243,9 @@ class SolutionFn:
     neither path is it the error of the interpolant.  For the half-power
     families (gaussian, radial, genshift) it is the requested ``tol``, not
     the error achieved, which is usually far smaller; for moebius it is the
-    doubling difference of the series at x = 1 (with ``truncation`` its
-    cutoff there), and for laplace the magnitude of the last coefficient of
-    the solution series.
+    doubling difference of the series at x = 1, ``truncation`` the cutoff of
+    the sum returned there, and for laplace the magnitude of the last
+    coefficient of the solution series.
     """
 
     eval: Callable[[float], float] | None
@@ -267,10 +269,12 @@ class SolutionFn:
 
 # Points asked before a handle builds its interpolant: about the series work
 # of a moebius build that certifies at 128 intervals, so a handle never costs
-# much more than twice the kernel alone (ski rental); a half-power build
-# costs N + 1 data points, or a kernel pass on N nodes.  _CERTIFY is the
-# relative gap; the closed form's rounding bound 4 eps pi sqrt(2) sum |a_n|
-# stays within 1e-3 tol while sum |a_n| <= _ROUNDING tol.
+# much more than twice the kernel alone (ski rental), whatever the series'
+# rows per argument, since a kernel call and a build both scale with them;
+# a half-power build costs N + 1 data points, or a kernel pass on N nodes.
+# _CERTIFY is the relative gap; the closed form's rounding bound
+# 4 eps pi sqrt(2) sum |a_n| stays within 1e-3 tol while sum |a_n| <=
+# _ROUNDING tol.
 _BUILD_AFTER = 160
 _N_START = 16
 _N_CAP = 256
@@ -471,8 +475,16 @@ def solve_generalized_shift(cmap: CoordinateMap, f, f_prime,
 
 # -- moebius family ----------------------------------------------------------
 
-_K_START = 64
+_K_START = 16
 _K_CAP = 100_000
+# Gregory's end correction of order 8 (Dahlquist & Bjorck, Numerical Methods
+# in Scientific Computing I, 3.4): the coefficients of 1/ln(1+D) - 1/D in the
+# forward difference D, folded into weights on the rows h_{K+1} .. h_{K+9}
+_GREGORY = (1 / 2, -1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480,
+            275 / 24192, -33953 / 3628800, 8183 / 1036800)
+_GREGORY_W = np.array([sum(g * math.comb(j, i) * (-1) ** (j - i)
+                           for j, g in enumerate(_GREGORY[i:], i))
+                       for i in range(len(_GREGORY))])
 
 
 class _ShiftTerms:
@@ -496,14 +508,15 @@ class _ShiftTerms:
         """u_K at ``xs``, 0 where x = 0 (see moebius_partial_sum)."""
         if not self.ws.size:
             return np.zeros(0)
-        if len(self.h) < K + 3:
-            ks = np.arange(len(self.h), K + 3, dtype=float)
+        rows = K + 1 + len(_GREGORY_W)
+        if len(self.h) < rows:
+            ks = np.arange(len(self.h), rows, dtype=float)
             self.h = np.concatenate([self.h, fracops._shifted(
                 fracops._MOEBIUS_MAP, self.g, self.ws, ks * self.a)])
         h = self.h
         tail = fracops._shifted(fracops._MOEBIUS_MAP, self.f, self.ws,
                                 np.array([(K + 1.0) * self.a]))[0] \
-            / self.a + 0.5 * h[K + 1] - (h[K + 2] - h[K]) / 24.0
+            / self.a + _GREGORY_W @ h[K + 1:rows]
         return h[: K + 1].sum(axis=0) + tail
 
 
@@ -513,12 +526,14 @@ def moebius_partial_sum(f, f_prime, a: float, xs: np.ndarray,
     (f and f_prime must map arrays to arrays).
 
     u_K(x) = sum_{k=0}^{K} h(x_k) + T(K), h(t) = t^2 f'(t),
-    x_k = x/(1 + k a x).  The tail T is the Euler-Maclaurin closure of the
-    remainder: its integral part telescopes exactly to f(x_{K+1})/a, and the
-    first correction terms use a central difference for h'.  The leftover is
-    O(K^-5), so doubling K is a sharp convergence check.  ``solve_moebius``
-    doubles K on one ``_ShiftTerms``, so the rows k <= K+2 of one partial
-    sum serve the next, with values equal to this function's bit for bit.
+    x_k = x/(1 + k a x).  The tail T is Gregory's formula for the remainder:
+    its integral part telescopes exactly to f(x_{K+1})/a, and the end
+    correction sum_{j<=8} G_j D^j h(x_{K+1}), D the forward difference in k,
+    is fixed weights on the rows k = K+1 .. K+9.  The leftover is a ninth
+    difference, O(K^-(n+10)) where h ~ k^-(n+1), so doubling K is a sharp
+    convergence check.  ``solve_moebius`` doubles K on one ``_ShiftTerms``,
+    so the rows k <= K+9 of one partial sum serve the next, with values
+    equal to this function's bit for bit.
     """
     return _ShiftTerms(f, f_prime, a, xs).partial_sum(K)
 
@@ -539,7 +554,7 @@ def _solve_moebius(spec: EquationSpec, tol: float) -> SolutionFn:
             cur = terms.partial_sum(K2)
             diff = float(np.max(np.abs(cur - prev), initial=0.0))
             if diff <= tol:
-                return cur, K, diff
+                return cur, K2, diff
             if K2 >= _K_CAP:
                 raise ConvergenceError(
                     f"shift-series cap K={K2} reached with doubling "
@@ -552,7 +567,7 @@ def _solve_moebius(spec: EquationSpec, tol: float) -> SolutionFn:
 
     _, k_probe, diff_probe = converge(np.array([1.0]))
     return SolutionFn(None, "geometric shift series, tail closed by "
-                      "Euler-Maclaurin", k_probe, diff_probe, Family.MOEBIUS,
+                      "Gregory's formula", k_probe, diff_probe, Family.MOEBIUS,
                       # on the log map, not -1/x: see the module docstring
                       _InterpolatingBatch(fracops._LOG_MAP, eval_batch))
 

@@ -624,9 +624,13 @@ def test_moebius_quadratic_data_gives_zeta_three():
 
 
 def test_moebius_reports_truncation():
+    # the cutoff of the sum returned at x = 1: the doubling 16 -> 32 misses
+    # tol there and 32 -> 64 meets it
     u = solve_moebius(_identity, _one, a=0.5)
-    assert u.truncation is not None and u.truncation >= 64
+    assert u.truncation == 64
     assert u.error_estimate < 1e-10 * 10.0
+    assert u(1.0) == moebius_partial_sum(_identity, _one, 0.5, np.array([1.0]),
+                                         u.truncation)[0]
 
 
 def test_moebius_doubling_agreement():
@@ -657,8 +661,8 @@ def test_moebius_evaluation_makes_no_probe_calls():
 
 
 def test_moebius_evaluates_each_row_once():
-    # the doubling K -> 2K reuses the rows k <= K+2: at x = 2 the pass
-    # settles at K = 64, so f' sees the rows k = 0 .. 2K+2 once each
+    # the doubling K -> 2K reuses the rows k <= K+9: at x = 2 the pass
+    # settles at K = 16, so f' sees the rows k = 0 .. 2K+9 once each
     points = []
 
     def fp(x):
@@ -668,7 +672,7 @@ def test_moebius_evaluates_each_row_once():
     u = solve_moebius(lambda x: np.asarray(x, dtype=float) ** 2, fp, 1.0)
     points.clear()
     u(2.0)
-    assert sum(points) == 2 * 64 + 3
+    assert sum(points) == 2 * 16 + 10
 
 
 def test_moebius_nonfinite_data_fails_at_first_rows():
@@ -686,7 +690,42 @@ def test_moebius_nonfinite_data_fails_at_first_rows():
     with pytest.raises(QuadratureDomainError) as err:
         u.eval_batch(np.linspace(0.1, 3.0, 25))
     assert 2.5 < err.value.abscissa <= 3.0
-    assert sum(points) == 25 * 67  # the rows k <= 66 of the first sum
+    assert sum(points) == 25 * 26  # the rows k <= 25 of the first sum
+
+
+_ZETA = {2: math.pi ** 2 / 6.0, 3: 1.2020569031595942854}
+
+
+def _moebius_hurwitz(n, a):
+    """f = x^n, f', arguments x = 1/(q a) and the solution there,
+    u = n a^-(n+1) zeta(n+1, q) = n a^-(n+1) (zeta(n+1) - sum_{k<q} k^-(n+1))."""
+    qs = (1, 2, 5, 10, 20)
+    ref = [n * a ** -(n + 1) * (_ZETA[n + 1] - math.fsum(
+        k ** -(n + 1.0) for k in range(1, q))) for q in qs]
+    return (lambda x: np.asarray(x, dtype=float) ** n,
+            lambda x: n * np.asarray(x, dtype=float) ** (n - 1),
+            np.array([1.0 / (q * a) for q in qs]), np.array(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_moebius_kernel_matches_hurwitz_zeta(n, a):
+    # five points: the handle answers from the kernel (the series itself)
+    f, fp, xs, ref = _moebius_hurwitz(n, a)
+    got = solve_moebius(f, fp, a).eval_batch(xs)
+    assert np.abs(got / ref - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_moebius_tail_closure_is_high_order(n, a):
+    # Gregory's closure of order 8: each doubling of K cuts the error of the
+    # partial sum 119- to 306-fold here; a closure by the first
+    # Euler-Maclaurin term cuts it 11- to 14-fold
+    f, fp, xs, ref = _moebius_hurwitz(n, a)
+    errs = [np.abs(moebius_partial_sum(f, fp, a, xs, K) / ref - 1.0).max()
+            for K in (8, 16, 32)]
+    assert errs[0] >= 64.0 * errs[1] and errs[1] >= 64.0 * errs[2]
 
 
 def test_moebius_vanishes_at_origin():
